@@ -124,8 +124,9 @@ def degree_sequence(
     """Degrees of the symbolic powers up to N.
 
     Cost grows quickly with N (each entry intersects n-th powers of all
-    primes); intended for small inputs. A failing entry aborts the loop
-    and flags the partial sequence incomplete.
+    primes); intended for small inputs. An entry that fails a precondition
+    (a ValueError) aborts the loop and flags the partial sequence
+    incomplete; any other error propagates.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -134,7 +135,7 @@ def degree_sequence(
     for n in range(1, N + 1):
         try:
             d = _symbolic_degree(I, n, method, components, primes)
-        except Exception:
+        except ValueError:
             complete = False
             break
         entries.append((n, d))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -126,21 +125,6 @@ VERIFY_SCHEMA = {
         "budget_exhausted": {"type": "boolean"},
     },
 }
-
-
-def thread_cap() -> int:
-    """Upper bound on library parallelism from SYMPOW_THREADS (default 1).
-
-    The current implementation runs sequentially, which respects any cap.
-    """
-    raw = os.environ.get("SYMPOW_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 def _positive_int(text: str) -> int:
@@ -388,6 +372,8 @@ def _claims_ex44():
         yield ("d(I^(2)) = 9 > 8 = 2*4: the D*n bound fails at n = 2",
                not rep.satisfied and rep.d_in == 9 and rep.bound == 8,
                f"d = {rep.d_in}, bound = {rep.bound}")
+        yield ("intersection of the 12 squared primes equals I^2 + (f)",
+               cx.verify_symbolic_square(case, chosen), "")
     yield ("the derived height-2 primes intersect to I (I is radical)",
            cx.verify_radical_intersection(case), "derived prime list, 12 entries")
 
@@ -470,7 +456,6 @@ def _cmd_verify_paper(args) -> int:
 
 
 def main(argv=None) -> int:
-    thread_cap()  # validate the environment variable early
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -522,7 +522,9 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     Pair selection is by smallest lcm (degree first); pairs with coprime
     leading monomials are skipped, as are pairs covered by the chain
     criterion. Every accepted element is content-normalized to keep the
-    rational arithmetic small. Termination is Dickson's lemma.
+    rational arithmetic small. Each element's leading term and divisor
+    entry are computed once, when it joins the basis, and every reduction
+    reuses them. Termination is Dickson's lemma.
     """
     gens = [g for g in generators if isinstance(g, Polynomial) and not g.is_zero()]
     if not gens:
@@ -536,14 +538,20 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     key = order.key
     G = []
     lms = []
+    divisors = []  # (leading exps, leading coeff, coeffs), in the order of G
 
     def append(poly):
+        de, dc = poly.leading(order)
         G.append(poly)
-        lms.append(poly.leading(order)[0])
+        lms.append(de)
+        divisors.append((de, dc, poly.coeffs))
+
+    def reduce(f):
+        return Polynomial(ring, _reduce_dict(f.coeffs, divisors, order))
 
     # light interreduction of the inputs: one pass, keeps the pair queue small
     for g in gens:
-        r = normal_form(g, G, order)
+        r = reduce(g)
         if not r.is_zero():
             append(r.content_normalized())
 
@@ -583,8 +591,7 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
                     break
         if skip:
             continue
-        s = s_polynomial(G[i], G[j], order)
-        r = normal_form(s, G, order)
+        r = reduce(s_polynomial(G[i], G[j], order))
         if not r.is_zero():
             append(r.content_normalized())
             new = len(G) - 1

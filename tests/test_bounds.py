@@ -16,7 +16,9 @@ from sympow import (
     sumdeg_check,
     symbolic_power_squarefree,
 )
+from sympow import bounds
 from sympow.cases import case_ex31, case_ex32
+from sympow.groebner import InternalInvariantError
 
 
 class TestHuneke:
@@ -131,6 +133,19 @@ class TestGrowth:
             seq = degree_sequence(I, 3, method="squarefree")
             assert seq.slope_estimate == Fraction(d)
             assert seq.is_linear_within
+
+    def test_precondition_failure_marks_incomplete(self):
+        # x^2 is not squarefree, so the squarefree path refuses every entry
+        seq = degree_sequence(mideal(Ring(("x",)), "x^2"), 2, method="squarefree")
+        assert seq.entries == () and not seq.complete
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalInvariantError("planted")
+
+        monkeypatch.setattr(bounds, "symbolic_power", broken)
+        with pytest.raises(InternalInvariantError, match="planted"):
+            degree_sequence(case_ex31().ideal, 2)
 
 
 class TestPropertyCorpus:

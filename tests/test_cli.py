@@ -15,7 +15,6 @@ from sympow.cli import (
     SYMPOW_SCHEMA,
     VERIFY_SCHEMA,
     main,
-    thread_cap,
 )
 
 EX31_FILE = """\
@@ -216,23 +215,17 @@ class TestVerifyPaper:
         assert payload["cases"][0]["case"] == "ex31"
         assert all(c["pass"] for c in payload["cases"][0]["claims"])
 
+    def test_ex44_checks_the_squared_prime_intersection(self, capsys):
+        code = main(["verify-paper", "--case", "ex44", "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, VERIFY_SCHEMA)
+        claims = {c["claim"]: c["pass"] for c in payload["cases"][0]["claims"]}
+        assert claims["intersection of the 12 squared primes equals I^2 + (f)"]
+
     def test_text_report_only_on_stdout(self, capsys):
         code = main(["verify-paper", "--case", "ex32"])
         assert code == EXIT_OK
         out, err = capsys.readouterr()
         assert "PASS" in out
         assert "PASS" not in err
-
-
-class TestThreadCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("SYMPOW_THREADS", raising=False)
-        assert thread_cap() == 1
-
-    def test_values(self, monkeypatch):
-        monkeypatch.setenv("SYMPOW_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("SYMPOW_THREADS", "0")
-        assert thread_cap() == 1
-        monkeypatch.setenv("SYMPOW_THREADS", "junk")
-        assert thread_cap() == 1

@@ -135,6 +135,9 @@ class TestSymbolicSquare:
         assert verify_symbolic_square_containment(case, "alternate")
         assert verify_symbolic_square(case, witness="alternate")
 
+    def test_seven_variable_recorded_witness_fails(self):
+        assert not verify_symbolic_square(builtin_case_A7(), witness="recorded")
+
     def test_degree_audit(self):
         for case in (builtin_case_A6(), builtin_case_A7()):
             rep = degree_violation_report(
