@@ -1,21 +1,21 @@
 """Exact symbolic powers of ideals over the rationals.
 
-A monomial engine (canonical minimal generators, decompositions, three
+A monomial engine (canonical minimal generators, decompositions, two
 mutually checking symbolic-power paths), degree-bound audits, a small
 exact Groebner kernel, and a CLI that replays the built-in reference
 computations bit-exactly.
 """
 
 from .bounds import (
+    BOUND_HUNEKE,
+    BOUND_LCM,
+    BOUND_SUMDEG,
     BoundReport,
     GrowthSequence,
+    bound_report,
     degree_sequence,
-    huneke_check,
-    huneke_value_report,
     lcm_bound,
-    lcm_check,
     sum_degree_bound,
-    sumdeg_check,
 )
 from .decomp import (
     Decomposition,

@@ -19,41 +19,10 @@ class BoundReport:
     n: int
     d_in: int
     bound: int
-    satisfied: bool
 
-
-def _report(kind: str, n: int, d_in: int, bound: int) -> BoundReport:
-    return BoundReport(kind, n, d_in, bound, d_in <= bound)
-
-
-def huneke_value_report(d_in: int, n: int, D: int) -> BoundReport:
-    """Judge a precomputed max generator degree against D*n."""
-    return _report(BOUND_HUNEKE, n, d_in, D * n)
-
-
-def _symbolic_degree(I, n, method, components, primes) -> int:
-    sym = symbolic_power(I, n, method=method, components=components, primes=primes)
-    return sym.degree_stats().max_gen_degree
-
-
-def huneke_check(
-    I: MonomialIdeal,
-    n: int,
-    D: int | None = None,
-    method: str = "saturation",
-    components=None,
-    primes: str = "min",
-) -> BoundReport:
-    """Is the n-th symbolic power generated in degrees <= D*n?"""
-    d_gen = I.degree_stats().max_gen_degree
-    if d_gen is None:
-        raise ValueError("the zero ideal has no generator degrees")
-    if D is None:
-        D = d_gen
-    elif D < d_gen:
-        raise ValueError(f"D = {D} is below the max generator degree {d_gen}")
-    d_in = _symbolic_degree(I, n, method, components, primes)
-    return huneke_value_report(d_in, n, D)
+    @property
+    def satisfied(self) -> bool:
+        return self.d_in <= self.bound
 
 
 def lcm_bound(I: MonomialIdeal):
@@ -65,18 +34,6 @@ def lcm_bound(I: MonomialIdeal):
     return f, f.degree
 
 
-def lcm_check(
-    I: MonomialIdeal,
-    n: int,
-    method: str = "saturation",
-    components=None,
-    primes: str = "min",
-) -> BoundReport:
-    _, per_n = lcm_bound(I)
-    d_in = _symbolic_degree(I, n, method, components, primes)
-    return _report(BOUND_LCM, n, d_in, per_n * n)
-
-
 def sum_degree_bound(I: MonomialIdeal) -> int:
     """E = sum of the minimal generator degrees; a coarser per-n bound."""
     stats = I.degree_stats()
@@ -85,16 +42,29 @@ def sum_degree_bound(I: MonomialIdeal) -> int:
     return sum(g.degree for g in I.generators)
 
 
-def sumdeg_check(
-    I: MonomialIdeal,
-    n: int,
-    method: str = "saturation",
-    components=None,
-    primes: str = "min",
-) -> BoundReport:
-    E = sum_degree_bound(I)
-    d_in = _symbolic_degree(I, n, method, components, primes)
-    return _report(BOUND_SUMDEG, n, d_in, E * n)
+def bound_report(I: MonomialIdeal, n: int, d_in: int, kind: str, D: int | None = None) -> BoundReport:
+    """Judge d_in = d(I^(n)), computed by the caller, against a bound of the given kind.
+
+    The per-n bound is D for BOUND_HUNEKE (D defaults to the max generator
+    degree of I and may not lie below it), deg lcm(gens) for BOUND_LCM and
+    the sum of the generator degrees for BOUND_SUMDEG.
+    """
+    d_gen = I.degree_stats().max_gen_degree
+    if d_gen is None:
+        raise ValueError("the zero ideal has no generator degrees")
+    if kind == BOUND_HUNEKE:
+        if D is None:
+            D = d_gen
+        elif D < d_gen:
+            raise ValueError(f"D = {D} is below the max generator degree {d_gen}")
+        per_n = D
+    elif kind == BOUND_LCM:
+        _, per_n = lcm_bound(I)
+    elif kind == BOUND_SUMDEG:
+        per_n = sum_degree_bound(I)
+    else:
+        raise ValueError(f"unknown bound kind: {kind!r}")
+    return BoundReport(kind, n, d_in, per_n * n)
 
 
 @dataclass(frozen=True)
@@ -134,11 +104,11 @@ def degree_sequence(
     complete = True
     for n in range(1, N + 1):
         try:
-            d = _symbolic_degree(I, n, method, components, primes)
+            sym = symbolic_power(I, n, method=method, components=components, primes=primes)
         except ValueError:
             complete = False
             break
-        entries.append((n, d))
+        entries.append((n, sym.degree_stats().max_gen_degree))
     slope = None
     linear = False
     if entries:

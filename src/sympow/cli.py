@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import counterexamples as cx
-from .bounds import degree_sequence, huneke_check, lcm_bound, lcm_check, sum_degree_bound, sumdeg_check
+from .bounds import BOUND_HUNEKE, BOUND_LCM, BOUND_SUMDEG, bound_report, degree_sequence, lcm_bound, sum_degree_bound
 from .cases import case_ex31, case_ex32
 from .decomp import NotSquarefreeError, minimal_variable_primes, symbolic_power, symbolic_power_from_decomposition, symbolic_power_squarefree
 from .groebner import InternalInvariantError
@@ -189,6 +189,10 @@ def _cmd_sympow(args) -> int:
             monomial_ideal_from_poly(c)
             for c in parsed.decomposition_components(args.decomposition)
         ]
+        # the first symbolic power of a decomposition is its intersection
+        if symbolic_power_from_decomposition(components, 1) != monomial_ideal_from_poly(poly):
+            raise ValueError(f"the components of decomposition {args.decomposition} "
+                             f"do not intersect to ideal {args.ideal}")
         result = symbolic_power_from_decomposition(components, args.n)
     else:
         ideal = monomial_ideal_from_poly(poly)
@@ -214,18 +218,18 @@ def _cmd_sympow(args) -> int:
 def _cmd_bounds(args) -> int:
     _, poly = _load_ideal(args)
     ideal = monomial_ideal_from_poly(poly)
-    reports = []
+    kinds = [kind for flag, kind in (("huneke", BOUND_HUNEKE), ("lcm", BOUND_LCM),
+                                     ("sumdeg", BOUND_SUMDEG))
+             if args.bound in (flag, "all")]
+    d_in = symbolic_power(ideal, args.n).degree_stats().max_gen_degree
+    reports = [bound_report(ideal, args.n, d_in, kind, D=args.D) for kind in kinds]
     extras = {}
-    if args.bound in ("huneke", "all"):
-        reports.append(huneke_check(ideal, args.n, D=args.D))
-    if args.bound in ("lcm", "all"):
+    if BOUND_LCM in kinds:
         f, per_n = lcm_bound(ideal)
         extras["lcm_monomial"] = str(f)
         extras["lcm_degree"] = per_n
-        reports.append(lcm_check(ideal, args.n))
-    if args.bound in ("sumdeg", "all"):
+    if BOUND_SUMDEG in kinds:
         extras["sum_of_degrees_E"] = sum_degree_bound(ideal)
-        reports.append(sumdeg_check(ideal, args.n))
     if args.format == "json":
         payload = {
             "ideal": args.ideal,
@@ -295,8 +299,7 @@ def _claims_ex31():
     yield (f"beg = {case.expected_beg} and max degree = {case.expected_max_degree}",
            (stats.beg, stats.max_gen_degree) == (case.expected_beg, case.expected_max_degree),
            f"beg = {stats.beg}, max = {stats.max_gen_degree}")
-    rep = huneke_check(case.ideal, 2, D=case.generator_degree,
-                       method="decomposition", components=case.components)
+    rep = bound_report(case.ideal, 2, stats.max_gen_degree, BOUND_HUNEKE, D=case.generator_degree)
     yield (f"generated in degrees <= {case.generator_degree}*2 with equality",
            rep.satisfied and rep.d_in == rep.bound,
            f"d = {rep.d_in}, bound = {rep.bound}")
@@ -316,7 +319,7 @@ def _claims_ex32():
     yield (f"beg = {case.expected_beg} and max degree = {case.expected_max_degree}",
            (stats.beg, stats.max_gen_degree) == (case.expected_beg, case.expected_max_degree),
            f"beg = {stats.beg}, max = {stats.max_gen_degree}")
-    rep = huneke_check(case.ideal, 2, D=case.generator_degree, method="squarefree")
+    rep = bound_report(case.ideal, 2, stats.max_gen_degree, BOUND_HUNEKE, D=case.generator_degree)
     yield (f"generated in degrees <= {case.generator_degree}*2",
            rep.satisfied, f"d = {rep.d_in}, bound = {rep.bound}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bounds import BoundReport, huneke_value_report
+from .bounds import BOUND_HUNEKE, BoundReport
 from .groebner import (
     PolyIdeal,
     Polynomial,
@@ -231,4 +231,4 @@ def degree_violation_report(case: CounterexampleCase, witness: str = "recorded")
     """Feed d(I^2 + (f)) to the D*n bound at n = 2; the report flags violation."""
     target = symbolic_square_generators(case, witness)
     d = max(g.total_degree() for g in target.generators)
-    return huneke_value_report(d, 2, case.generator_degree)
+    return BoundReport(BOUND_HUNEKE, 2, d, 2 * case.generator_degree)

@@ -1,11 +1,10 @@
-"""Decompositions of monomial ideals and the three symbolic-power paths.
+"""Decompositions of monomial ideals and the symbolic-power paths.
 
-Symbolic powers can be computed three ways that must agree:
+Symbolic powers can be computed two independent ways that must agree:
 
-* ``symbolic_power_squarefree`` -- intersect the n-th powers of the
-  minimal primes (squarefree input only);
 * ``symbolic_power_from_decomposition`` -- intersect the n-th powers of
-  caller-supplied primary components;
+  primary components; ``symbolic_power_squarefree`` runs it over the
+  computed minimal primes (squarefree input only);
 * ``symbolic_power_saturation`` -- saturate I**n at the product of the
   variables outside each prime, then intersect.
 """
@@ -13,17 +12,12 @@ Symbolic powers can be computed three ways that must agree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .ideals import MonomialIdeal
 from .rings import Monomial, Ring
 
 KIND_MINIMAL_PRIMES = "minimal_primes"
 KIND_IRREDUCIBLE = "irreducible"
-KIND_USER_PRIMARY = "user_primary"
-
-SOURCE_COMPUTED = "computed"
-SOURCE_USER = "user_supplied"
 
 
 class NotSquarefreeError(ValueError):
@@ -52,20 +46,6 @@ class VariablePrime:
     def ideal(self) -> MonomialIdeal:
         return MonomialIdeal.from_variables(self.ring, self.variables)
 
-    def power_ideal(self, n: int) -> MonomialIdeal:
-        """P**n written down directly: all degree-n monomials in P's variables."""
-        if n < 0:
-            raise ValueError("ideal powers need n >= 0")
-        if n == 0:
-            return MonomialIdeal.unit(self.ring)
-        gens = []
-        for parts in _compositions(n, len(self.variables)):
-            exps = [0] * self.ring.nvars
-            for i, e in zip(self.variables, parts):
-                exps[i] = e
-            gens.append(Monomial(self.ring, tuple(exps)))
-        return MonomialIdeal(self.ring, gens)
-
     def outside_product(self) -> Monomial:
         """Product of the variables not in the prime."""
         inside = set(self.variables)
@@ -82,22 +62,9 @@ class Decomposition:
 
     components: tuple
     kind: str
-    source: str
 
     def intersection(self) -> MonomialIdeal:
         return _intersect_fold(list(self.components))
-
-
-def _compositions(n, k):
-    # weak compositions of n into k nonnegative parts
-    for bars in combinations(range(n + k - 1), k - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(n + k - 1 - prev - 1)
-        yield tuple(parts)
 
 
 def _require_proper_nonzero(I: MonomialIdeal):
@@ -157,9 +124,7 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
 
 def minimal_primes(I: MonomialIdeal) -> Decomposition:
     primes = minimal_variable_primes(I)
-    return Decomposition(
-        tuple(p.ideal() for p in primes), KIND_MINIMAL_PRIMES, SOURCE_COMPUTED
-    )
+    return Decomposition(tuple(p.ideal() for p in primes), KIND_MINIMAL_PRIMES)
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
@@ -193,7 +158,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     ideals = [MonomialIdeal(ring, gens) for gens in components]
     ideals = _drop_redundant(ideals)
     ideals.sort(key=lambda J: (len(J.generators), [g.sort_key for g in J.generators]))
-    return Decomposition(tuple(ideals), KIND_IRREDUCIBLE, SOURCE_COMPUTED)
+    return Decomposition(tuple(ideals), KIND_IRREDUCIBLE)
 
 
 def _drop_redundant(components):
@@ -224,11 +189,10 @@ def associated_primes(I: MonomialIdeal) -> list:
 
 
 def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    """Intersection of the n-th powers of the minimal primes."""
+    """The decomposition path over the computed minimal primes."""
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
-    primes = minimal_variable_primes(I)
-    return _intersect_fold([p.power_ideal(n) for p in primes])
+    return symbolic_power_from_decomposition(minimal_primes(I).components, n)
 
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:

@@ -49,45 +49,35 @@ class MonomialOrder:
 class DegRevLex(MonomialOrder):
     kind = "degrevlex"
 
-    def __init__(self, perm=None):
-        self.perm = tuple(perm) if perm is not None else None
-
     def key(self, exps):
-        if self.perm is not None:
-            exps = tuple(exps[i] for i in self.perm)
         out = [sum(exps)]
         out.extend(-e for e in reversed(exps))
         return tuple(out)
 
     def __eq__(self, other):
-        return isinstance(other, DegRevLex) and self.perm == other.perm
+        return isinstance(other, DegRevLex)
 
     def __hash__(self):
-        return hash((self.kind, self.perm))
+        return hash(self.kind)
 
     def __repr__(self):
-        return "DegRevLex()" if self.perm is None else f"DegRevLex(perm={self.perm})"
+        return "DegRevLex()"
 
 
 class Lex(MonomialOrder):
     kind = "lex"
 
-    def __init__(self, perm=None):
-        self.perm = tuple(perm) if perm is not None else None
-
     def key(self, exps):
-        if self.perm is not None:
-            exps = tuple(exps[i] for i in self.perm)
         return tuple(exps)
 
     def __eq__(self, other):
-        return isinstance(other, Lex) and self.perm == other.perm
+        return isinstance(other, Lex)
 
     def __hash__(self):
-        return hash((self.kind, self.perm))
+        return hash(self.kind)
 
     def __repr__(self):
-        return "Lex()" if self.perm is None else f"Lex(perm={self.perm})"
+        return "Lex()"
 
 
 class BlockElimination(MonomialOrder):
@@ -655,9 +645,9 @@ def verify_basis(record: BasisRecord, recompute: bool = True, shuffle_seed: int 
 class PolyIdeal:
     """Generator list plus cached reduced Groebner bases, one per order."""
 
-    __slots__ = ("ring", "generators", "_bases", "_gb_hint")
+    __slots__ = ("ring", "generators", "_bases", "_is_basis")
 
-    def __init__(self, ring: Ring, generators=(), gb_hint=None, gb_hint_order=None):
+    def __init__(self, ring: Ring, generators=()):
         self.ring = ring
         gens = []
         for g in generators:
@@ -667,9 +657,18 @@ class PolyIdeal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._bases = {}
-        self._gb_hint = None
-        if gb_hint is not None:
-            self._gb_hint = (gb_hint_order or DEGREVLEX, tuple(gb_hint))
+        self._is_basis = False
+
+    @classmethod
+    def from_basis(cls, ring: Ring, basis) -> PolyIdeal:
+        """The ideal of a degrevlex Groebner basis.
+
+        Its reduced degrevlex basis is derived from the generators on first
+        use, without running Buchberger.
+        """
+        ideal = cls(ring, basis)
+        ideal._is_basis = True
+        return ideal
 
     @classmethod
     def zero(cls, ring: Ring) -> PolyIdeal:
@@ -682,8 +681,8 @@ class PolyIdeal:
         cached = self._bases.get(order)
         if cached is not None:
             return cached
-        if self._gb_hint is not None and self._gb_hint[0] == order:
-            basis = _reduced_from_basis(list(self._gb_hint[1]), order)
+        if self._is_basis and order == DEGREVLEX:
+            basis = _reduced_from_basis(list(self.generators), order)
             _log_basis(self.generators, basis, order)
         else:
             basis = buchberger(self.generators, order)
@@ -766,7 +765,7 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J by elimination: adjoin w, take w*I + (1-w)*J, drop w.
 
     The w-free part of the block-order basis is a degrevlex Groebner
-    basis of the intersection, so it is attached as a basis hint.
+    basis of the intersection.
     """
     _check_rings(I, J)
     if I.is_zero() or J.is_zero():
@@ -786,7 +785,7 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
                     "w-free leading monomial but a w-bearing tail term"
                 )
             keep.append(_drop_aux(g, I.ring).content_normalized())
-    return PolyIdeal(I.ring, keep, gb_hint=keep, gb_hint_order=DEGREVLEX)
+    return PolyIdeal.from_basis(I.ring, keep)
 
 
 def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
@@ -799,7 +798,7 @@ def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     inter = ideal_intersect(I, PolyIdeal(I.ring, (f,)))
     gens = [divide_exact(g, f) for g in inter.generators]
     # dividing a Groebner basis of I ∩ (f) by f keeps it a Groebner basis
-    return PolyIdeal(I.ring, gens, gb_hint=gens, gb_hint_order=DEGREVLEX)
+    return PolyIdeal.from_basis(I.ring, gens)
 
 
 def ideal_equals(I: PolyIdeal, J: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> bool:

@@ -21,8 +21,9 @@ import sympow.groebner as gb
 from sympow import (
     NotSquarefreeError,
     PolyIdeal,
+    BOUND_HUNEKE,
     Polynomial,
-    huneke_check,
+    bound_report,
     ideal_intersect,
     lcm_bound,
     minimal_variable_primes,
@@ -86,8 +87,7 @@ def test_criterion_1_ex31_reproduction():
 
     stats = expected.degree_stats()
     assert stats.beg == 4 and stats.max_gen_degree == 6
-    rep = huneke_check(case.ideal, 2, D=3,
-                       method="decomposition", components=case.components)
+    rep = bound_report(case.ideal, 2, stats.max_gen_degree, BOUND_HUNEKE, D=3)
     assert rep.satisfied and rep.d_in == rep.bound == 6
 
     elapsed = time.monotonic() - t0
@@ -177,8 +177,8 @@ def test_criterion_7_oracle_equivalence():
             assert d <= d_gen * n
             assert d <= lcm_per_n * n
         if i % 10 == 0:
-            rep = huneke_check(I, 2, method="squarefree")
-            assert rep.satisfied
+            d = symbolic_power_squarefree(I, 2).degree_stats().max_gen_degree
+            assert bound_report(I, 2, d, BOUND_HUNEKE).satisfied
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report(7, "100 random squarefree ideals: path equality, chains, bounds", elapsed)

@@ -6,14 +6,17 @@ import pytest
 from conftest import mideal, mono, random_squarefree_ideal, seeded
 
 from sympow import (
+    BOUND_HUNEKE,
+    BOUND_LCM,
+    BOUND_SUMDEG,
+    BoundReport,
     Ring,
+    bound_report,
     degree_sequence,
-    huneke_check,
-    huneke_value_report,
     lcm_bound,
-    lcm_check,
     sum_degree_bound,
-    sumdeg_check,
+    symbolic_power,
+    symbolic_power_from_decomposition,
     symbolic_power_squarefree,
 )
 from sympow import bounds
@@ -21,36 +24,56 @@ from sympow.cases import case_ex31, case_ex32
 from sympow.groebner import InternalInvariantError
 
 
+def _max_degree(J):
+    return J.degree_stats().max_gen_degree
+
+
+def _ex31_square_degree():
+    case = case_ex31()
+    return _max_degree(symbolic_power_from_decomposition(case.components, 2))
+
+
 class TestHuneke:
     def test_recorded_square_passes_with_equality(self):
-        case = case_ex31()
-        rep = huneke_check(case.ideal, 2, D=3,
-                           method="decomposition", components=case.components)
+        rep = bound_report(case_ex31().ideal, 2, _ex31_square_degree(), BOUND_HUNEKE, D=3)
         assert rep.satisfied and rep.d_in == 6 and rep.bound == 6
 
     def test_terai_passes(self):
         case = case_ex32()
-        rep = huneke_check(case.ideal, 2, D=3, method="squarefree")
+        d = _max_degree(symbolic_power_squarefree(case.ideal, 2))
+        rep = bound_report(case.ideal, 2, d, BOUND_HUNEKE, D=3)
         assert rep.satisfied and (rep.d_in, rep.bound) == (6, 6)
 
     def test_variable_prime_equality(self):
         R = Ring(("x", "y", "z"))
         P = mideal(R, "x", "y")
         for n in (1, 2, 3):
-            rep = huneke_check(P, n, method="squarefree")
+            d = _max_degree(symbolic_power_squarefree(P, n))
+            rep = bound_report(P, n, d, BOUND_HUNEKE)
             assert rep.satisfied and rep.d_in == rep.bound == n
 
     def test_default_and_invalid_D(self):
         case = case_ex31()
-        rep = huneke_check(case.ideal, 1)
+        rep = bound_report(case.ideal, 1, _max_degree(case.ideal), BOUND_HUNEKE)
         assert rep.bound == 3  # default D is the max generator degree
         with pytest.raises(ValueError):
-            huneke_check(case.ideal, 2, D=2)
+            bound_report(case.ideal, 2, 6, BOUND_HUNEKE, D=2)
+
+    def test_zero_ideal(self):
+        zero = mideal(Ring(("x",)))
+        for kind in (BOUND_HUNEKE, BOUND_LCM, BOUND_SUMDEG):
+            with pytest.raises(ValueError, match="zero ideal"):
+                bound_report(zero, 2, 0, kind)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown bound kind"):
+            bound_report(case_ex31().ideal, 2, 6, "degree_of_nothing")
 
     def test_value_report(self):
-        rep = huneke_value_report(9, 2, 4)
+        rep = bound_report(mideal(Ring(("x",)), "x^4"), 2, 9, BOUND_HUNEKE)
         assert not rep.satisfied and rep.bound == 8
         assert rep.satisfied == (rep.d_in <= rep.bound)
+        assert BoundReport(BOUND_HUNEKE, 2, 8, 8).satisfied
 
 
 class TestLcmBound:
@@ -58,8 +81,7 @@ class TestLcmBound:
         case = case_ex31()
         f, per_n = lcm_bound(case.ideal)
         assert f == mono(case.ring, "x*y^2*z*t^2") and per_n == 6
-        rep = lcm_check(case.ideal, 2, method="decomposition",
-                        components=case.components)
+        rep = bound_report(case.ideal, 2, _ex31_square_degree(), BOUND_LCM)
         assert rep.satisfied and rep.d_in == 6 and rep.bound == 12
 
     def test_terai(self):
@@ -71,7 +93,8 @@ class TestLcmBound:
         R = Ring(("x", "y"))
         I = mideal(R, "x^2*y")
         for n in (1, 2, 3):
-            rep = lcm_check(I, n, method="saturation")
+            d = _max_degree(symbolic_power(I, n, method="saturation"))
+            rep = bound_report(I, n, d, BOUND_LCM)
             assert rep.satisfied and rep.d_in == rep.bound == 3 * n
 
 
@@ -90,9 +113,7 @@ class TestSumDegreeBound:
             assert per_n <= sum_degree_bound(I)
 
     def test_report(self):
-        case = case_ex31()
-        rep = sumdeg_check(case.ideal, 2, method="decomposition",
-                           components=case.components)
+        rep = bound_report(case_ex31().ideal, 2, _ex31_square_degree(), BOUND_SUMDEG)
         assert rep.satisfied and rep.bound == 16
 
 

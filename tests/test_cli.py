@@ -155,6 +155,18 @@ class TestExitCodes:
                      "--method", "decomposition"])
         assert code == EXIT_PRECONDITION
 
+    def test_decomposition_of_another_ideal_is_3(self, tmp_path, capsys):
+        # (x) ∩ (z) = (x*z), but I = (x*y, y*z) = (y) ∩ (x, z)
+        path = tmp_path / "mismatch.ideal"
+        path.write_text("ring: x y z\nideal I: x*y, y*z\nideal A: x\nideal B: z\n"
+                        "decomposition D: A & B\n")
+        code = main(["sympow", "--file", str(path), "--ideal", "I", "--n", "2",
+                     "--method", "decomposition", "--decomposition", "D"])
+        assert code == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "do not intersect to ideal I" in captured.err
+
 
 class TestBoundsCommand:
     def test_all_bounds_json(self, ex31_path, capsys):
@@ -177,6 +189,24 @@ class TestBoundsCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["reports"][0]["bound"] == 10
+
+    def test_all_bounds_compute_the_power_once(self, terai_path, capsys, monkeypatch):
+        import sympow.decomp as decomp
+
+        calls = []
+        original = decomp.symbolic_power_saturation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decomp, "symbolic_power_saturation", counted)
+        code = main(["bounds", "--file", terai_path, "--ideal", "T", "--n", "2",
+                     "--bound", "all", "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["d_In"] for r in payload["reports"]] == [6, 6, 6]
+        assert len(calls) == 1
 
     def test_D_below_generators_is_3(self, ex31_path):
         code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",

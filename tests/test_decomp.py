@@ -218,18 +218,6 @@ class TestSymbolicPowerPaths:
 
 
 class TestVariablePrime:
-    def test_power_matches_repeated_product(self):
-        R = Ring(("x", "y", "z", "t"))
-        P = VariablePrime(R, (0, 2, 3))
-        for n in (1, 2, 3, 4):
-            assert P.power_ideal(n) == P.ideal().power(n)
-
-    def test_power_generator_count(self):
-        # k variables in degree n: C(n + k - 1, k - 1) generators
-        R = Ring(("x", "y", "z"))
-        P = VariablePrime(R, (0, 1, 2))
-        assert len(P.power_ideal(3).generators) == 10
-
     def test_outside_product(self):
         R = Ring(("x", "y", "z"))
         P = VariablePrime(R, (1,))

@@ -192,6 +192,16 @@ class TestIdealOps:
         case = builtin_case_A6()
         assert not case.square().member(case.witness)
 
+    def test_from_basis_reduces_without_buchberger(self, R3, monkeypatch):
+        basis = buchberger(pideal(R3, "x^2 - y", "x*y - z").generators)
+        scaled = [3 * g for g in basis]  # still a basis, not reduced
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("buchberger ran on a known basis")
+
+        monkeypatch.setattr(gb, "buchberger", refuse)
+        assert PolyIdeal.from_basis(R3, scaled).groebner_basis() == basis
+
 
 class TestIntersect:
     def test_principal(self, R3):
