@@ -48,7 +48,6 @@ from .groebner import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
-    member,
     normal_form,
     s_polynomial,
 )

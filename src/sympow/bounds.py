@@ -42,29 +42,32 @@ def sum_degree_bound(I: MonomialIdeal) -> int:
     return sum(g.degree for g in I.generators)
 
 
-def bound_report(I: MonomialIdeal, n: int, d_in: int, kind: str, D: int | None = None) -> BoundReport:
-    """Judge d_in = d(I^(n)), computed by the caller, against a bound of the given kind.
+def per_n_bound(I: MonomialIdeal, kind: str, D: int | None = None) -> int:
+    """The per-n factor of a bound of the given kind on d(I^(n)).
 
-    The per-n bound is D for BOUND_HUNEKE (D defaults to the max generator
-    degree of I and may not lie below it), deg lcm(gens) for BOUND_LCM and
-    the sum of the generator degrees for BOUND_SUMDEG.
+    It is D for BOUND_HUNEKE (D defaults to the max generator degree of I
+    and may not lie below it), deg lcm(gens) for BOUND_LCM and the sum of
+    the generator degrees for BOUND_SUMDEG.
     """
     d_gen = I.degree_stats().max_gen_degree
     if d_gen is None:
         raise ValueError("the zero ideal has no generator degrees")
     if kind == BOUND_HUNEKE:
         if D is None:
-            D = d_gen
-        elif D < d_gen:
+            return d_gen
+        if D < d_gen:
             raise ValueError(f"D = {D} is below the max generator degree {d_gen}")
-        per_n = D
-    elif kind == BOUND_LCM:
-        _, per_n = lcm_bound(I)
-    elif kind == BOUND_SUMDEG:
-        per_n = sum_degree_bound(I)
-    else:
-        raise ValueError(f"unknown bound kind: {kind!r}")
-    return BoundReport(kind, n, d_in, per_n * n)
+        return D
+    if kind == BOUND_LCM:
+        return lcm_bound(I)[1]
+    if kind == BOUND_SUMDEG:
+        return sum_degree_bound(I)
+    raise ValueError(f"unknown bound kind: {kind!r}")
+
+
+def bound_report(I: MonomialIdeal, n: int, d_in: int, kind: str, D: int | None = None) -> BoundReport:
+    """Judge d_in = d(I^(n)), computed by the caller, against per_n_bound(I, kind, D) * n."""
+    return BoundReport(kind, n, d_in, per_n_bound(I, kind, D) * n)
 
 
 @dataclass(frozen=True)
@@ -83,14 +86,7 @@ class GrowthSequence:
     complete: bool
 
 
-def degree_sequence(
-    I: MonomialIdeal,
-    N: int,
-    method: str = "saturation",
-    slack: int = 0,
-    components=None,
-    primes: str = "min",
-) -> GrowthSequence:
+def degree_sequence(I: MonomialIdeal, N: int, slack: int = 0) -> GrowthSequence:
     """Degrees of the symbolic powers up to N.
 
     Cost grows quickly with N (each entry intersects n-th powers of all
@@ -104,7 +100,7 @@ def degree_sequence(
     complete = True
     for n in range(1, N + 1):
         try:
-            sym = symbolic_power(I, n, method=method, components=components, primes=primes)
+            sym = symbolic_power(I, n)
         except ValueError:
             complete = False
             break

@@ -18,9 +18,10 @@ import sys
 import time
 
 from . import counterexamples as cx
-from .bounds import BOUND_HUNEKE, BOUND_LCM, BOUND_SUMDEG, bound_report, degree_sequence, lcm_bound, sum_degree_bound
+from .bounds import BOUND_HUNEKE, BOUND_LCM, BOUND_SUMDEG, BoundReport, bound_report, degree_sequence, per_n_bound
 from .cases import case_ex31, case_ex32
-from .decomp import NotSquarefreeError, minimal_variable_primes, symbolic_power, symbolic_power_from_decomposition, symbolic_power_squarefree
+from .decomp import (NotSquarefreeError, irreducible_decomposition, symbolic_power, symbolic_power_from_decomposition,
+                     symbolic_power_saturation, symbolic_power_squarefree)
 from .groebner import InternalInvariantError
 from .ideal_files import ParseError, format_generators, monomial_ideal_from_poly, parse_ideal_file
 
@@ -194,9 +195,10 @@ def _cmd_sympow(args) -> int:
             raise ValueError(f"the components of decomposition {args.decomposition} "
                              f"do not intersect to ideal {args.ideal}")
         result = symbolic_power_from_decomposition(components, args.n)
+    elif args.method == "squarefree":
+        result = symbolic_power_squarefree(monomial_ideal_from_poly(poly), args.n)
     else:
-        ideal = monomial_ideal_from_poly(poly)
-        result = symbolic_power(ideal, args.n, method=args.method, primes=args.primes)
+        result = symbolic_power_saturation(monomial_ideal_from_poly(poly), args.n, primes=args.primes)
     stats = result.degree_stats()
     if args.format == "json":
         payload = {
@@ -221,15 +223,16 @@ def _cmd_bounds(args) -> int:
     kinds = [kind for flag, kind in (("huneke", BOUND_HUNEKE), ("lcm", BOUND_LCM),
                                      ("sumdeg", BOUND_SUMDEG))
              if args.bound in (flag, "all")]
+    # an invalid --D is refused before the power is computed
+    per_n = {kind: per_n_bound(ideal, kind, args.D) for kind in kinds}
     d_in = symbolic_power(ideal, args.n).degree_stats().max_gen_degree
-    reports = [bound_report(ideal, args.n, d_in, kind, D=args.D) for kind in kinds]
+    reports = [BoundReport(kind, args.n, d_in, bound * args.n) for kind, bound in per_n.items()]
     extras = {}
     if BOUND_LCM in kinds:
-        f, per_n = lcm_bound(ideal)
-        extras["lcm_monomial"] = str(f)
-        extras["lcm_degree"] = per_n
+        extras["lcm_monomial"] = str(ideal.lcm_of_generators())
+        extras["lcm_degree"] = per_n[BOUND_LCM]
     if BOUND_SUMDEG in kinds:
-        extras["sum_of_degrees_E"] = sum_degree_bound(ideal)
+        extras["sum_of_degrees_E"] = per_n[BOUND_SUMDEG]
     if args.format == "json":
         payload = {
             "ideal": args.ideal,
@@ -291,9 +294,9 @@ def _claims_ex31():
     sq = symbolic_power_from_decomposition(case.components, 2)
     yield ("decomposition path reproduces the 6 recorded generators",
            sq == case.expected_square, format_generators(sq))
-    sat = symbolic_power(case.ideal, 2, method="saturation", primes="min")
+    sat = symbolic_power_saturation(case.ideal, 2)
     yield ("saturation path (minimal primes) agrees", sat == case.expected_square, "")
-    sat_ass = symbolic_power(case.ideal, 2, method="saturation", primes="ass")
+    sat_ass = symbolic_power_saturation(case.ideal, 2, primes="ass")
     yield ("saturation path (associated primes) agrees", sat_ass == case.expected_square, "")
     stats = sq.degree_stats()
     yield (f"beg = {case.expected_beg} and max degree = {case.expected_max_degree}",
@@ -310,10 +313,12 @@ def _claims_ex32():
     sq = symbolic_power_squarefree(case.ideal, 2)
     yield ("squarefree path reproduces the 31 recorded generators",
            sq == case.expected_square, f"{len(sq.generators)} generators")
-    primes = minimal_variable_primes(case.ideal)
-    dec = symbolic_power_from_decomposition([p.ideal() for p in primes], 2)
+    # the irreducible components of a squarefree ideal are its minimal primes,
+    # found here by splitting generators rather than by minimal vertex covers
+    components = irreducible_decomposition(case.ideal).components
+    dec = symbolic_power_from_decomposition(components, 2)
     yield ("decomposition path (minimal primes) agrees", dec == case.expected_square, "")
-    sat = symbolic_power(case.ideal, 2, method="saturation")
+    sat = symbolic_power_saturation(case.ideal, 2)
     yield ("saturation path agrees", sat == case.expected_square, "")
     stats = sq.degree_stats()
     yield (f"beg = {case.expected_beg} and max degree = {case.expected_max_degree}",

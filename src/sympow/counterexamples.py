@@ -146,15 +146,13 @@ def verify_colon(case: CounterexampleCase, witness: str = "recorded") -> bool:
     return ideal_equals(colon_ideal(case, witness), case.expected_colon)
 
 
-def verify_radical_intersection(case: CounterexampleCase, progress=None) -> bool:
+def verify_radical_intersection(case: CounterexampleCase) -> bool:
     """The intersection of the listed primes is I itself."""
     key = "radical_intersection"
     if key not in case._memo:
         inter = case.primes[0]
-        for i, p in enumerate(case.primes[1:], start=2):
+        for p in case.primes[1:]:
             inter = ideal_intersect(inter, p)
-            if progress:
-                progress(f"intersected {i}/{len(case.primes)} primes")
         case._memo[key] = inter
     return ideal_equals(case._memo[key], case.ideal)
 

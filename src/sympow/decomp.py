@@ -7,6 +7,9 @@ Symbolic powers can be computed two independent ways that must agree:
   computed minimal primes (squarefree input only);
 * ``symbolic_power_saturation`` -- saturate I**n at the product of the
   variables outside each prime, then intersect.
+
+``symbolic_power`` takes the squarefree path on squarefree input and the
+saturation path otherwise.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from dataclasses import dataclass
 
 from .ideals import MonomialIdeal
 from .rings import Monomial, Ring
-
-KIND_MINIMAL_PRIMES = "minimal_primes"
-KIND_IRREDUCIBLE = "irreducible"
 
 
 class NotSquarefreeError(ValueError):
@@ -61,7 +61,6 @@ class Decomposition:
     """Ordered list of components whose intersection is the input ideal."""
 
     components: tuple
-    kind: str
 
     def intersection(self) -> MonomialIdeal:
         return _intersect_fold(list(self.components))
@@ -124,7 +123,7 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
 
 def minimal_primes(I: MonomialIdeal) -> Decomposition:
     primes = minimal_variable_primes(I)
-    return Decomposition(tuple(p.ideal() for p in primes), KIND_MINIMAL_PRIMES)
+    return Decomposition(tuple(p.ideal() for p in primes))
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
@@ -158,7 +157,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     ideals = [MonomialIdeal(ring, gens) for gens in components]
     ideals = _drop_redundant(ideals)
     ideals.sort(key=lambda J: (len(J.generators), [g.sort_key for g in J.generators]))
-    return Decomposition(tuple(ideals), KIND_IRREDUCIBLE)
+    return Decomposition(tuple(ideals))
 
 
 def _drop_redundant(components):
@@ -228,20 +227,8 @@ def symbolic_power_saturation(I: MonomialIdeal, n: int, primes: str = "min") -> 
     return _intersect_fold([power.saturate(p.outside_product()) for p in plist])
 
 
-def symbolic_power(
-    I: MonomialIdeal,
-    n: int,
-    method: str = "saturation",
-    components=None,
-    primes: str = "min",
-) -> MonomialIdeal:
-    """Dispatch over the three paths."""
-    if method == "squarefree":
+def symbolic_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
+    """The squarefree path when I is squarefree, the saturation path otherwise."""
+    if I.is_squarefree():
         return symbolic_power_squarefree(I, n)
-    if method == "decomposition":
-        if components is None:
-            raise ValueError("the decomposition path needs components")
-        return symbolic_power_from_decomposition(components, n)
-    if method == "saturation":
-        return symbolic_power_saturation(I, n, primes=primes)
-    raise ValueError(f"unknown method: {method!r}")
+    return symbolic_power_saturation(I, n)

@@ -200,9 +200,6 @@ class Polynomial:
         e = max(self.coeffs, key=order.key)
         return e, self.coeffs[e]
 
-    def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
-        return Monomial(self.ring, self.leading(order)[0])
-
     def terms(self, order: MonomialOrder = DEGREVLEX):
         """Terms strictly descending under the order."""
         out = sorted(self.coeffs, key=order.key, reverse=True)
@@ -704,10 +701,6 @@ class PolyIdeal:
 
     def __repr__(self):
         return f"PolyIdeal{self}"
-
-
-def member(f: Polynomial, I: PolyIdeal) -> bool:
-    return I.member(f)
 
 
 def _check_rings(I: PolyIdeal, J: PolyIdeal):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .groebner import DEGREVLEX, PolyIdeal, Polynomial
+from .groebner import PolyIdeal, Polynomial
 from .ideals import MonomialIdeal
 from .rings import Ring
 
@@ -287,24 +287,7 @@ def parse_ideal_file(text: str) -> IdealFile:
 
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text: content-normalized, terms descending under degrevlex."""
-    q = p.content_normalized()
-    if q.is_zero():
-        return "0"
-    parts = []
-    for m, c in q.terms(DEGREVLEX):
-        mag = abs(int(c))
-        if m.degree == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = str(m)
-        else:
-            body = f"{mag}*{m}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return str(p.content_normalized())
 
 
 def format_generators(I) -> str:

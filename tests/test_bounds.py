@@ -15,8 +15,8 @@ from sympow import (
     degree_sequence,
     lcm_bound,
     sum_degree_bound,
-    symbolic_power,
     symbolic_power_from_decomposition,
+    symbolic_power_saturation,
     symbolic_power_squarefree,
 )
 from sympow import bounds
@@ -93,7 +93,7 @@ class TestLcmBound:
         R = Ring(("x", "y"))
         I = mideal(R, "x^2*y")
         for n in (1, 2, 3):
-            d = _max_degree(symbolic_power(I, n, method="saturation"))
+            d = _max_degree(symbolic_power_saturation(I, n))
             rep = bound_report(I, n, d, BOUND_LCM)
             assert rep.satisfied and rep.d_in == rep.bound == 3 * n
 
@@ -120,7 +120,7 @@ class TestSumDegreeBound:
 class TestGrowth:
     def test_principal(self):
         R = Ring(("x", "y"))
-        seq = degree_sequence(mideal(R, "x*y"), 3, method="squarefree")
+        seq = degree_sequence(mideal(R, "x*y"), 3)
         assert seq.entries == ((1, 2), (2, 4), (3, 6))
         assert seq.slope_estimate == Fraction(2)
         assert seq.is_linear_within and seq.complete
@@ -133,7 +133,7 @@ class TestGrowth:
 
     def test_terai(self):
         case = case_ex32()
-        seq = degree_sequence(case.ideal, 2, method="squarefree")
+        seq = degree_sequence(case.ideal, 2)
         assert seq.entries == ((1, 3), (2, 6))
 
     def test_slack(self):
@@ -151,13 +151,13 @@ class TestGrowth:
         for _ in range(10):
             I = random_squarefree_ideal(rng, max_gens=1)
             d = I.generators[0].degree
-            seq = degree_sequence(I, 3, method="squarefree")
+            seq = degree_sequence(I, 3)
             assert seq.slope_estimate == Fraction(d)
             assert seq.is_linear_within
 
     def test_precondition_failure_marks_incomplete(self):
-        # x^2 is not squarefree, so the squarefree path refuses every entry
-        seq = degree_sequence(mideal(Ring(("x",)), "x^2"), 2, method="squarefree")
+        # the unit ideal has no decomposition, so every path refuses every entry
+        seq = degree_sequence(mideal(Ring(("x",)), "1"), 2)
         assert seq.entries == () and not seq.complete
 
     def test_internal_error_propagates(self, monkeypatch):

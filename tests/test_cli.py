@@ -11,6 +11,7 @@ from sympow.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    EXIT_VERIFY_FAIL,
     GROWTH_SCHEMA,
     SYMPOW_SCHEMA,
     VERIFY_SCHEMA,
@@ -194,13 +195,13 @@ class TestBoundsCommand:
         import sympow.decomp as decomp
 
         calls = []
-        original = decomp.symbolic_power_saturation
+        original = decomp.symbolic_power_squarefree
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(decomp, "symbolic_power_saturation", counted)
+        monkeypatch.setattr(decomp, "symbolic_power_squarefree", counted)
         code = main(["bounds", "--file", terai_path, "--ideal", "T", "--n", "2",
                      "--bound", "all", "--format", "json"])
         assert code == EXIT_OK
@@ -208,10 +209,16 @@ class TestBoundsCommand:
         assert [r["d_In"] for r in payload["reports"]] == [6, 6, 6]
         assert len(calls) == 1
 
-    def test_D_below_generators_is_3(self, ex31_path):
+    def test_D_below_generators_is_3(self, ex31_path, capsys, monkeypatch):
+        import sympow.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "symbolic_power", lambda *args: calls.append(args))
         code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",
                      "--D", "1"])
         assert code == EXIT_PRECONDITION
+        assert "D = 1 is below the max generator degree 3" in capsys.readouterr().err
+        assert calls == []  # refused before the power is computed
 
 
 class TestGrowthCommand:
@@ -252,6 +259,18 @@ class TestVerifyPaper:
         jsonschema.validate(payload, VERIFY_SCHEMA)
         claims = {c["claim"]: c["pass"] for c in payload["cases"][0]["claims"]}
         assert claims["intersection of the 12 squared primes equals I^2 + (f)"]
+
+    def test_ex32_decomposition_claim_is_independent(self, capsys, monkeypatch):
+        import sympow.decomp as decomp
+
+        original = decomp.minimal_covers
+        monkeypatch.setattr(decomp, "minimal_covers", lambda edges: original(edges)[:-1])
+        code = main(["verify-paper", "--case", "ex32", "--format", "json"])
+        assert code == EXIT_VERIFY_FAIL
+        claims = {c["claim"]: c["pass"]
+                  for c in json.loads(capsys.readouterr().out)["cases"][0]["claims"]}
+        assert not claims["squarefree path reproduces the 31 recorded generators"]
+        assert claims["decomposition path (minimal primes) agrees"]
 
     def test_text_report_only_on_stdout(self, capsys):
         code = main(["verify-paper", "--case", "ex32"])

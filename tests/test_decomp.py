@@ -14,6 +14,7 @@ from sympow import (
     irreducible_decomposition,
     minimal_primes,
     minimal_variable_primes,
+    symbolic_power,
     symbolic_power_from_decomposition,
     symbolic_power_saturation,
     symbolic_power_squarefree,
@@ -42,7 +43,6 @@ class TestMinimalPrimes:
     def test_principal_product(self, R2):
         dec = minimal_primes(mideal(R2, "x*y"))
         assert set(dec.components) == {mideal(R2, "x"), mideal(R2, "y")}
-        assert dec.kind == "minimal_primes"
 
     def test_already_prime(self, R2):
         dec = minimal_primes(mideal(R2, "x", "y"))
@@ -113,6 +113,9 @@ class TestIrreducible:
                 for g in comp.generators:
                     assert len(g.support()) == 1
             assert dec.intersection() == J
+            # irredundant: no component contains another
+            for a, b in combinations(dec.components, 2):
+                assert not (a.issubset(b) or b.issubset(a))
 
 
 class TestAssociatedPrimes:
@@ -194,6 +197,23 @@ class TestSymbolicPowerPaths:
                 c = symbolic_power_saturation(I, n, primes="min")
                 d = symbolic_power_saturation(I, n, primes="ass")
                 assert a == b == c == d
+
+    def test_dispatch_follows_the_input(self, monkeypatch):
+        import sympow.decomp as decomp
+
+        calls = []
+        original = decomp.symbolic_power_saturation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decomp, "symbolic_power_saturation", counted)
+        terai, ex31 = case_ex32(), case_ex31()
+        assert symbolic_power(terai.ideal, 2) == terai.expected_square
+        assert calls == []
+        assert symbolic_power(ex31.ideal, 2) == ex31.expected_square
+        assert len(calls) == 1
 
     def test_containment_chain_random(self):
         rng = seeded(205)
