@@ -39,7 +39,6 @@ from .groebner import (
     Lex,
     PolyIdeal,
     Polynomial,
-    Term,
     buchberger,
     divide_exact,
     ideal_equals,

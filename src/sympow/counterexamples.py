@@ -8,12 +8,14 @@ so f is a new minimal generator of the symbolic square and the naive
 The seven-variable case ships two witness candidates: the recorded one,
 xyzabcd*(ac - bd), and the alternate xyzabcd*(ab - cd) that matches the
 binomial inside the ideal itself. ``verify_colon`` runs either.
+
+A case is a frozen value, built afresh on every call, and every helper
+computes its ideal on every call: nothing outlives the call that made it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .bounds import BOUND_HUNEKE, BoundReport
 from .groebner import (
@@ -28,7 +30,7 @@ from .groebner import (
 from .rings import Ring
 
 
-@dataclass
+@dataclass(frozen=True)
 class CounterexampleCase:
     name: str
     ring: Ring
@@ -40,12 +42,9 @@ class CounterexampleCase:
     expected_colon: PolyIdeal
     expected_witness_degree: int
     generator_degree: int
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def square(self) -> PolyIdeal:
-        if "square" not in self._memo:
-            self._memo["square"] = ideal_power(self.ideal, 2)
-        return self._memo["square"]
+        return ideal_power(self.ideal, 2)
 
     def pick_witness(self, which: str = "recorded") -> Polynomial:
         if which == "recorded":
@@ -57,7 +56,6 @@ class CounterexampleCase:
         raise ValueError(f"unknown witness selector {which!r}")
 
 
-@lru_cache(maxsize=None)
 def builtin_case_A6() -> CounterexampleCase:
     """Six variables: I = (x(x-y)ya, (x-y)ztb, yz(xa-tb)), twelve height-2 primes."""
     R = Ring(("x", "y", "z", "t", "a", "b"))
@@ -90,7 +88,6 @@ def builtin_case_A6() -> CounterexampleCase:
     )
 
 
-@lru_cache(maxsize=None)
 def builtin_case_A7() -> CounterexampleCase:
     """Seven variables: I = (xyab, xzcd, yz(ab-cd)) with two witness candidates.
 
@@ -134,11 +131,7 @@ def builtin_case_A7() -> CounterexampleCase:
 
 
 def colon_ideal(case: CounterexampleCase, witness: str = "recorded") -> PolyIdeal:
-    key = ("colon", witness)
-    if key not in case._memo:
-        f = case.pick_witness(witness)
-        case._memo[key] = ideal_quotient(case.square(), f)
-    return case._memo[key]
+    return ideal_quotient(case.square(), case.pick_witness(witness))
 
 
 def verify_colon(case: CounterexampleCase, witness: str = "recorded") -> bool:
@@ -146,31 +139,49 @@ def verify_colon(case: CounterexampleCase, witness: str = "recorded") -> bool:
     return ideal_equals(colon_ideal(case, witness), case.expected_colon)
 
 
+def is_regular_pair(p: PolyIdeal) -> bool:
+    """The two generators g1, g2 of p form a regular sequence: (g1) : g2 = (g1).
+
+    An ideal generated by a regular sequence of length two has height two.
+    """
+    if len(p.generators) != 2:
+        return False
+    g1, g2 = p.generators
+    principal = PolyIdeal(p.ring, (g1,))
+    return ideal_equals(ideal_quotient(principal, g2), principal)
+
+
+def verify_prime_heights(case: CounterexampleCase) -> bool:
+    """Every listed prime is generated by a regular pair, so has height 2."""
+    return all(is_regular_pair(p) for p in case.primes)
+
+
+def _intersect_all(ideals, progress=None):
+    """Fold pairwise intersection over the ideals in list order."""
+    inter = ideals[0]
+    for i, J in enumerate(ideals[1:], start=2):
+        inter = ideal_intersect(inter, J)
+        if progress:
+            progress(
+                f"intersected {i}/{len(ideals)} ideals "
+                f"({len(inter.generators)} generators so far)"
+            )
+    return inter
+
+
 def verify_radical_intersection(case: CounterexampleCase) -> bool:
     """The intersection of the listed primes is I itself."""
-    key = "radical_intersection"
-    if key not in case._memo:
-        inter = case.primes[0]
-        for p in case.primes[1:]:
-            inter = ideal_intersect(inter, p)
-        case._memo[key] = inter
-    return ideal_equals(case._memo[key], case.ideal)
+    return ideal_equals(_intersect_all(case.primes), case.ideal)
 
 
 def squared_prime(case: CounterexampleCase, i: int) -> PolyIdeal:
-    key = ("prime_square", i)
-    if key not in case._memo:
-        case._memo[key] = ideal_power(case.primes[i], 2)
-    return case._memo[key]
+    return ideal_power(case.primes[i], 2)
 
 
 def symbolic_square_generators(case: CounterexampleCase, witness: str = "recorded") -> PolyIdeal:
     """I^2 + (f), the claimed generator presentation of the symbolic square."""
-    key = ("square_plus_witness", witness)
-    if key not in case._memo:
-        f = case.pick_witness(witness)
-        case._memo[key] = ideal_sum(case.square(), PolyIdeal(case.ring, (f,)))
-    return case._memo[key]
+    f = case.pick_witness(witness)
+    return ideal_sum(case.square(), PolyIdeal(case.ring, (f,)))
 
 
 def verify_symbolic_square_containment(case: CounterexampleCase, witness: str = "recorded") -> bool:
@@ -183,41 +194,18 @@ def verify_symbolic_square_containment(case: CounterexampleCase, witness: str = 
     return True
 
 
-def intersection_of_squared_primes(
-    case: CounterexampleCase, progress=None, fold: str = "listed"
-) -> PolyIdeal:
-    """Fold the squared primes through pairwise intersection.
-
-    ``fold="listed"`` follows the case's prime order; ``fold="sorted"``
-    goes smallest generator count first.
-    """
-    key = ("squared_intersection", fold)
-    if key not in case._memo:
-        squares = [squared_prime(case, i) for i in range(len(case.primes))]
-        if fold == "sorted":
-            squares.sort(key=lambda J: len(J.generators))
-        elif fold != "listed":
-            raise ValueError(f"unknown fold order {fold!r}")
-        inter = squares[0]
-        for i, sq in enumerate(squares[1:], start=2):
-            inter = ideal_intersect(inter, sq)
-            if progress:
-                progress(
-                    f"intersected {i}/{len(squares)} squared primes "
-                    f"({len(inter.generators)} generators so far)"
-                )
-        case._memo[key] = inter
-    return case._memo[key]
+def intersection_of_squared_primes(case: CounterexampleCase, progress=None) -> PolyIdeal:
+    """Fold the squared primes, in the case's prime order, through pairwise intersection."""
+    return _intersect_all(
+        [squared_prime(case, i) for i in range(len(case.primes))], progress
+    )
 
 
 def verify_symbolic_square(
-    case: CounterexampleCase,
-    witness: str = "recorded",
-    progress=None,
-    fold: str = "listed",
+    case: CounterexampleCase, witness: str = "recorded", progress=None
 ) -> bool:
     """The intersection of the squared primes equals I^2 + (f)."""
-    inter = intersection_of_squared_primes(case, progress=progress, fold=fold)
+    inter = intersection_of_squared_primes(case, progress=progress)
     return ideal_equals(inter, symbolic_square_generators(case, witness))
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .rings import Monomial, Ring, RingMismatchError, check_same_ring
 
@@ -40,46 +39,25 @@ class MonomialOrder:
     the same way the order does (bigger key = bigger monomial).
     """
 
-    kind = "abstract"
-
     def key(self, exps):
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class DegRevLex(MonomialOrder):
-    kind = "degrevlex"
-
     def key(self, exps):
         out = [sum(exps)]
         out.extend(-e for e in reversed(exps))
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, DegRevLex)
 
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return "DegRevLex()"
-
-
+@dataclass(frozen=True)
 class Lex(MonomialOrder):
-    kind = "lex"
-
     def key(self, exps):
         return tuple(exps)
 
-    def __eq__(self, other):
-        return isinstance(other, Lex)
 
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return "Lex()"
-
-
+@dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
     """Compare the first ``first_k`` exponents (degrevlex) before the rest.
 
@@ -87,12 +65,11 @@ class BlockElimination(MonomialOrder):
     free of the first block entirely, which is what elimination needs.
     """
 
-    kind = "block_elimination"
+    first_k: int
 
-    def __init__(self, first_k: int):
-        if first_k < 1:
+    def __post_init__(self):
+        if self.first_k < 1:
             raise ValueError("the first block needs at least one variable")
-        self.first_k = first_k
 
     def key(self, exps):
         k = self.first_k
@@ -103,15 +80,6 @@ class BlockElimination(MonomialOrder):
         out.extend(-e for e in reversed(tail))
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, BlockElimination) and self.first_k == other.first_k
-
-    def __hash__(self):
-        return hash((self.kind, self.first_k))
-
-    def __repr__(self):
-        return f"BlockElimination({self.first_k})"
-
 
 DEGREVLEX = DegRevLex()
 LEX = Lex()
@@ -119,11 +87,6 @@ LEX = Lex()
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-class Term(NamedTuple):
-    monomial: Monomial
-    coefficient: Fraction
 
 
 def _exp_mul(a, b):
@@ -142,8 +105,8 @@ class Polynomial:
     """Sparse exact-rational polynomial: a dict from exponent tuple to Fraction.
 
     Instances are immutable by convention; all arithmetic returns new
-    objects. Term order is a presentation concern: ``terms(order)`` sorts
-    on demand and never changes the stored term multiset.
+    objects. Term order is a presentation concern: printing sorts the
+    terms under degrevlex and never changes the stored term multiset.
     """
 
     __slots__ = ("ring", "coeffs", "_hash")
@@ -199,11 +162,6 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading term")
         e = max(self.coeffs, key=order.key)
         return e, self.coeffs[e]
-
-    def terms(self, order: MonomialOrder = DEGREVLEX):
-        """Terms strictly descending under the order."""
-        out = sorted(self.coeffs, key=order.key, reverse=True)
-        return [Term(Monomial(self.ring, e), self.coeffs[e]) for e in out]
 
     def as_monomial(self):
         """(monomial, coefficient) when the polynomial has exactly one term."""
@@ -328,7 +286,8 @@ class Polynomial:
         if not self.coeffs:
             return "0"
         parts = []
-        for m, c in self.terms(DEGREVLEX):
+        for e in sorted(self.coeffs, key=DEGREVLEX.key, reverse=True):
+            m, c = Monomial(self.ring, e), self.coeffs[e]
             mag = abs(c)
             if m.degree == 0:
                 body = str(mag)
@@ -640,9 +599,9 @@ def verify_basis(record: BasisRecord, recompute: bool = True, shuffle_seed: int 
 
 
 class PolyIdeal:
-    """Generator list plus cached reduced Groebner bases, one per order."""
+    """Generator list plus its reduced degrevlex Groebner basis, computed once."""
 
-    __slots__ = ("ring", "generators", "_bases", "_is_basis")
+    __slots__ = ("ring", "generators", "_basis", "_is_basis")
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
@@ -653,7 +612,7 @@ class PolyIdeal:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self._bases = {}
+        self._basis = None
         self._is_basis = False
 
     @classmethod
@@ -674,25 +633,23 @@ class PolyIdeal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner_basis(self, order: MonomialOrder = DEGREVLEX):
-        cached = self._bases.get(order)
-        if cached is not None:
-            return cached
-        if self._is_basis and order == DEGREVLEX:
-            basis = _reduced_from_basis(list(self.generators), order)
-            _log_basis(self.generators, basis, order)
-        else:
-            basis = buchberger(self.generators, order)
-        self._bases[order] = basis
-        return basis
+    def groebner_basis(self):
+        """The reduced degrevlex basis; a reduced basis is canonical for its order."""
+        if self._basis is None:
+            if self._is_basis:
+                self._basis = _reduced_from_basis(list(self.generators), DEGREVLEX)
+                _log_basis(self.generators, self._basis, DEGREVLEX)
+            else:
+                self._basis = buchberger(self.generators)
+        return self._basis
 
-    def member(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> bool:
+    def member(self, f: Polynomial) -> bool:
         check_same_ring(
             f, self.generators[0] if self.generators else Polynomial.zero(self.ring)
         )
         if f.is_zero():
             return True
-        return normal_form(f, self.groebner_basis(order), order).is_zero()
+        return normal_form(f, self.groebner_basis()).is_zero()
 
     def __str__(self):
         if not self.generators:
@@ -794,7 +751,7 @@ def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     return PolyIdeal.from_basis(I.ring, gens)
 
 
-def ideal_equals(I: PolyIdeal, J: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> bool:
-    """Reduced bases under a common order coincide exactly."""
+def ideal_equals(I: PolyIdeal, J: PolyIdeal) -> bool:
+    """The reduced degrevlex bases coincide exactly."""
     _check_rings(I, J)
-    return I.groebner_basis(order) == J.groebner_basis(order)
+    return I.groebner_basis() == J.groebner_basis()

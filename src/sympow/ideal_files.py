@@ -28,6 +28,7 @@ from .rings import Ring
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"[0-9]+")
 _PUNCT = "^*+-(),:&"
+_MAX_NESTING = 100  # deeper parentheses are refused before recursion runs out
 
 
 class ParseError(Exception):
@@ -89,6 +90,7 @@ class _PolyReader:
         self.ring = ring
         self.tokens = tokens
         self.pos = pos
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -136,8 +138,12 @@ class _PolyReader:
     def factor(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
             self.take()
+            self.depth += 1
             inner = self.poly()
+            self.depth -= 1
             if self.peek().kind != ")":
                 self.fail("expected ')'")
             self.take()

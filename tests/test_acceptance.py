@@ -54,10 +54,8 @@ from sympow.ideal_files import format_generators, monomial_ideal_from_poly, pars
 @pytest.fixture(scope="module", autouse=True)
 def basis_log():
     # cold caches so the runtime budgets measure real work
-    from sympow import cases, counterexamples
+    from sympow import cases
 
-    counterexamples.builtin_case_A6.cache_clear()
-    counterexamples.builtin_case_A7.cache_clear()
     cases.case_ex31.cache_clear()
     cases.case_ex32.cache_clear()
     gb.BASIS_LOG = []

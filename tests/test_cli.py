@@ -104,6 +104,13 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "unknown variable" in capsys.readouterr().err
 
+    def test_deep_nesting_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.ideal"
+        path.write_text("ring: x\nideal I: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
+        code = main(["sympow", "--file", str(path), "--ideal", "I", "--n", "1"])
+        assert code == EXIT_PARSE
+        assert "nested deeper" in capsys.readouterr().err
+
     def test_missing_file_is_2(self, tmp_path):
         code = main(["sympow", "--file", str(tmp_path / "nope"), "--ideal", "I", "--n", "1"])
         assert code == EXIT_PARSE
@@ -259,6 +266,24 @@ class TestVerifyPaper:
         jsonschema.validate(payload, VERIFY_SCHEMA)
         claims = {c["claim"]: c["pass"] for c in payload["cases"][0]["claims"]}
         assert claims["intersection of the 12 squared primes equals I^2 + (f)"]
+
+    def test_ex44_checks_the_derived_prime_heights(self, capsys):
+        code = main(["verify-paper", "--case", "ex44", "--format", "json"])
+        assert code == EXIT_OK
+        claims = {c["claim"]: c["pass"]
+                  for c in json.loads(capsys.readouterr().out)["cases"][0]["claims"]}
+        assert claims["the 12 derived primes have height 2 (generated by a regular sequence)"]
+
+    def test_repeated_runs_agree(self, capsys):
+        def run():
+            assert main(["verify-paper", "--case", "all", "--format", "json"]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            for case in payload["cases"]:
+                for claim in case["claims"]:
+                    del claim["seconds"]
+            return payload
+
+        assert run() == run()
 
     def test_ex32_decomposition_claim_is_independent(self, capsys, monkeypatch):
         import sympow.decomp as decomp

@@ -1,13 +1,20 @@
 """The built-in degree-9 witness cases and their verification steps."""
 
-from sympow import PolyIdeal, ideal_equals, ideal_intersect
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from sympow import PolyIdeal, Polynomial, Ring, ideal_equals, ideal_intersect
 from sympow.counterexamples import (
     builtin_case_A6,
     builtin_case_A7,
+    colon_ideal,
     degree_violation_report,
+    is_regular_pair,
     squared_prime,
     symbolic_square_generators,
     verify_colon,
+    verify_prime_heights,
     verify_radical_intersection,
     verify_symbolic_square,
     verify_symbolic_square_containment,
@@ -45,6 +52,31 @@ class TestCaseShapes:
         case = builtin_case_A6()
         for i in range(len(case.primes)):
             assert squared_prime(case, i).member(case.witness)
+
+
+class TestStateless:
+    def test_case_is_frozen(self):
+        case = builtin_case_A6()
+        with pytest.raises(FrozenInstanceError):
+            case.witness = case.ideal.generators[0]
+
+    def test_each_call_builds_a_fresh_case(self):
+        assert builtin_case_A7() is not builtin_case_A7()
+        assert colon_ideal(builtin_case_A6()) is not colon_ideal(builtin_case_A6())
+
+
+class TestHeights:
+    def test_listed_primes_are_regular_pairs(self):
+        assert verify_prime_heights(builtin_case_A6())
+        assert verify_prime_heights(builtin_case_A7())
+
+    def test_non_regular_pair_fails(self):
+        R = Ring(("x", "y"))
+        x, y = (Polynomial.variable(R, v) for v in R.variables)
+        # (x) : x*y is the unit ideal, not (x)
+        assert not is_regular_pair(PolyIdeal(R, (x, x * y)))
+        assert is_regular_pair(PolyIdeal(R, (x, y)))
+        assert not is_regular_pair(PolyIdeal(R, (x,)))
 
 
 class TestColon:
@@ -127,8 +159,16 @@ class TestSymbolicSquare:
         assert verify_symbolic_square(builtin_case_A6())
 
     def test_sorted_fold_agrees(self):
+        # smallest squared prime first: an independent order for the same fold
         case = builtin_case_A6()
-        assert verify_symbolic_square(case, fold="sorted")
+        squares = sorted(
+            (squared_prime(case, i) for i in range(len(case.primes))),
+            key=lambda J: len(J.generators),
+        )
+        inter = squares[0]
+        for sq in squares[1:]:
+            inter = ideal_intersect(inter, sq)
+        assert ideal_equals(inter, symbolic_square_generators(case))
 
     def test_seven_variable_equality_alternate_witness(self):
         case = builtin_case_A7()

@@ -132,6 +132,24 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_ideal_file("ring: x\nideal I: x*\n")
 
+    def test_nesting_limit(self):
+        from sympow.ideal_files import _MAX_NESTING
+
+        def nested(depth):
+            return "ring: x\nideal I: " + "(" * depth + "x" + ")" * depth + "\n"
+
+        parsed = parse_ideal_file(nested(_MAX_NESTING))
+        assert parsed.ideal("I").generators[0] == Polynomial.variable(parsed.ring, "x")
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(nested(_MAX_NESTING + 1))
+        assert "nested deeper" in str(info.value)
+        # located at the first parenthesis past the limit
+        assert location(info.value) == (2, len("ideal I: ") + _MAX_NESTING + 1)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_ideal_file("ring: x\nideal I: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
+
 
 class TestPrinting:
     def test_monomial_style(self):
