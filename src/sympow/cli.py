@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -135,6 +136,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget_seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("must be a finite number of seconds >= 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sympow",
@@ -168,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="replay the built-in reference cases")
     p.add_argument("--case", choices=VERIFY_CASES + ("all",), default="all")
-    p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--time-budget", type=_budget_seconds, default=None, metavar="SECONDS")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

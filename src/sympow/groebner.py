@@ -5,10 +5,6 @@ Sparse polynomials with Fraction coefficients, monomial orders
 with the coprimality and chain criteria, reduced bases, and the ideal
 operations built on them: membership, sum, product, power, intersection
 by elimination, colon by a polynomial, equality.
-
-Set ``BASIS_LOG`` to a list to record every computed basis as a
-:class:`BasisRecord`; :func:`verify_basis` re-checks the Buchberger
-post-conditions on a record independently of the main loop.
 """
 
 from __future__ import annotations
@@ -261,13 +257,6 @@ class Polynomial:
             scale = -scale
         return Polynomial(self.ring, {e: c * scale for e, c in self.coeffs.items()})
 
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-        _, lc = self.leading(order)
-        if lc == 1:
-            return self
-        inv = 1 / lc
-        return Polynomial(self.ring, {e: c * inv for e, c in self.coeffs.items()})
-
     # -- plumbing
 
     def __eq__(self, other):
@@ -427,38 +416,34 @@ def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX)
 # Buchberger
 
 
-@dataclass
-class BasisRecord:
-    generators: tuple
-    basis: tuple
-    order: MonomialOrder
+def _check_polynomials(generators):
+    """The generators as a list; anything that is not a Polynomial is refused."""
+    gens = list(generators)
+    for g in gens:
+        if not isinstance(g, Polynomial):
+            raise TypeError(f"generator {g!r} is not a Polynomial")
+    return gens
 
 
-BASIS_LOG = None  # set to a list to record every computed basis
+def _reduced_from_basis(divisors, ring, order):
+    """Reduced basis, largest lead first, from the divisor entries of a Groebner basis.
 
-
-def _log_basis(generators, basis, order):
-    if BASIS_LOG is not None:
-        BASIS_LOG.append(BasisRecord(tuple(generators), tuple(basis), order))
-
-
-def _reduced_from_basis(G, order):
-    """Reduced basis from any Groebner basis G: minimal, tail-reduced, monic."""
+    Each minimal entry's tail is reduced against all minimal entries: its
+    own leading monomial is bigger than every tail term, so never divides one.
+    """
     key = order.key
-    items = []
-    for g in G:
-        if not g.is_zero():
-            items.append((g, g.leading(order)[0]))
-    items.sort(key=lambda t: key(t[1]))
     minimal = []
-    for g, lm in items:
-        if not any(_exp_divides(lm2, lm) for _, lm2 in minimal):
-            minimal.append((g, lm))
+    for entry in sorted(divisors, key=lambda d: key(d[0])):
+        if not any(_exp_divides(m[0], entry[0]) for m in minimal):
+            minimal.append(entry)
     out = []
-    for i, (g, lm) in enumerate(minimal):
-        others = [h for j, (h, _) in enumerate(minimal) if j != i]
-        out.append(normal_form(g, others, order).monic(order))
-    out.sort(key=lambda p: key(p.leading(order)[0]), reverse=True)
+    for de, dc, coeffs in reversed(minimal):
+        reduced = {de: dc}
+        reduced.update(
+            _reduce_dict({e: c for e, c in coeffs.items() if e != de}, minimal, order)
+        )
+        inv = 1 / dc
+        out.append(Polynomial(ring, {e: c * inv for e, c in reduced.items()}))
     return tuple(out)
 
 
@@ -472,11 +457,9 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     entry are computed once, when it joins the basis, and every reduction
     reuses them. Termination is Dickson's lemma.
     """
-    gens = [g for g in generators if isinstance(g, Polynomial) and not g.is_zero()]
+    gens = [g for g in _check_polynomials(generators) if not g.is_zero()]
     if not gens:
-        basis = ()
-        _log_basis(generators, basis, order)
-        return basis
+        return ()
     ring = gens[0].ring
     for g in gens:
         check_same_ring(gens[0], g)
@@ -544,54 +527,7 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
             for k in range(new):
                 push_pair(k, new)
 
-    basis = _reduced_from_basis(G, order)
-    _log_basis(generators, basis, order)
-    return basis
-
-
-def verify_basis(record: BasisRecord, recompute: bool = True, shuffle_seed: int = 0):
-    """Re-check the Buchberger post-conditions on a recorded basis.
-
-    Raises AssertionError on the first violation. ``recompute`` also
-    reruns the construction from a shuffled generator list and demands
-    the identical reduced basis.
-    """
-    import random
-
-    basis = [g for g in record.basis if not g.is_zero()]
-    order = record.order
-    if not basis:
-        for g in record.generators:
-            assert g.is_zero(), "zero basis for a nonzero ideal"
-        return
-    lms = [g.leading(order)[0] for g in basis]
-    for i, g in enumerate(basis):
-        assert g.leading(order)[1] == 1, f"basis element {i} is not monic"
-        for e in g.coeffs:
-            for j, lm in enumerate(lms):
-                if j != i:
-                    assert not _exp_divides(lm, e), (
-                        f"basis element {i} has a term reducible by element {j}"
-                    )
-    for i, j in combinations(range(len(basis)), 2):
-        s = s_polynomial(basis[i], basis[j], order)
-        if s.is_zero():
-            continue
-        assert normal_form(s, basis, order).is_zero(), (
-            f"S-polynomial of basis elements {i}, {j} does not reduce to zero"
-        )
-    for g in record.generators:
-        if isinstance(g, Polynomial) and not g.is_zero():
-            assert normal_form(g, basis, order).is_zero(), (
-                "an input generator does not reduce to zero against the basis"
-            )
-    if recompute:
-        gens = [g for g in record.generators if isinstance(g, Polynomial)]
-        random.Random(shuffle_seed).shuffle(gens)
-        again = buchberger(gens, order)
-        assert tuple(again) == tuple(record.basis), (
-            "reduced basis depends on the generator order"
-        )
+    return _reduced_from_basis(divisors, ring, order)
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +541,11 @@ class PolyIdeal:
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
-        gens = []
-        for g in generators:
+        gens = _check_polynomials(generators)
+        for g in gens:
             if g.ring != ring:
                 raise RingMismatchError("generator from a different ring")
-            if not g.is_zero():
-                gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(g for g in gens if not g.is_zero())
         self._basis = None
         self._is_basis = False
 
@@ -637,16 +571,15 @@ class PolyIdeal:
         """The reduced degrevlex basis; a reduced basis is canonical for its order."""
         if self._basis is None:
             if self._is_basis:
-                self._basis = _reduced_from_basis(list(self.generators), DEGREVLEX)
-                _log_basis(self.generators, self._basis, DEGREVLEX)
+                self._basis = _reduced_from_basis(
+                    _prepare_divisors(self.generators, DEGREVLEX), self.ring, DEGREVLEX
+                )
             else:
                 self._basis = buchberger(self.generators)
         return self._basis
 
     def member(self, f: Polynomial) -> bool:
-        check_same_ring(
-            f, self.generators[0] if self.generators else Polynomial.zero(self.ring)
-        )
+        check_same_ring(f, self)
         if f.is_zero():
             return True
         return normal_form(f, self.groebner_basis()).is_zero()
@@ -742,9 +675,7 @@ def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     """(I : f) = the exact quotient by f of I intersected with (f)."""
     if f.is_zero():
         raise ValueError("cannot take a colon by the zero polynomial")
-    check_same_ring(
-        f, I.generators[0] if I.generators else Polynomial.zero(I.ring)
-    )
+    check_same_ring(f, I)
     inter = ideal_intersect(I, PolyIdeal(I.ring, (f,)))
     gens = [divide_exact(g, f) for g in inter.generators]
     # dividing a Groebner basis of I ∩ (f) by f keeps it a Groebner basis

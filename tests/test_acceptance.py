@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one ``ACCEPTANCE <n> ... PASS`` line (visible with
-``pytest -s`` or in captured output on failure). Criteria 3-6 log every
-Groebner basis they compute; criterion 8 re-verifies those logs.
+``pytest -s`` or in captured output on failure). A module fixture wraps
+``buchberger`` and the ``from_basis`` path of ``PolyIdeal.groebner_basis``
+so that every Groebner basis criteria 3-6 compute is recorded; criterion 8
+re-verifies each record with the test oracle in ``basis_oracle``.
 """
 
 import json
@@ -10,6 +12,7 @@ import time
 
 import jsonschema
 import pytest
+from basis_oracle import verify_basis
 from conftest import (
     random_monomial_ideal,
     random_poly_ideal,
@@ -19,11 +22,13 @@ from conftest import (
 
 import sympow.groebner as gb
 from sympow import (
+    DEGREVLEX,
     NotSquarefreeError,
     PolyIdeal,
     BOUND_HUNEKE,
     Polynomial,
     bound_report,
+    buchberger,
     ideal_intersect,
     lcm_bound,
     minimal_variable_primes,
@@ -53,14 +58,34 @@ from sympow.ideal_files import format_generators, monomial_ideal_from_poly, pars
 
 @pytest.fixture(scope="module", autouse=True)
 def basis_log():
+    """(path, generators, basis, order) of every Groebner basis the module computes."""
     # cold caches so the runtime budgets measure real work
     from sympow import cases
 
     cases.case_ex31.cache_clear()
     cases.case_ex32.cache_clear()
-    gb.BASIS_LOG = []
-    yield gb.BASIS_LOG
-    gb.BASIS_LOG = None
+    log = []
+    run_buchberger = gb.buchberger
+    groebner_basis = gb.PolyIdeal.groebner_basis
+
+    def recording_buchberger(generators, order=DEGREVLEX):
+        generators = tuple(generators)
+        basis = run_buchberger(generators, order)
+        log.append(("buchberger", generators, basis, order))
+        return basis
+
+    def recording_groebner_basis(self):
+        # the from_basis path derives its reduced basis without Buchberger
+        derived = self._is_basis and self._basis is None
+        basis = groebner_basis(self)
+        if derived:
+            log.append(("from_basis", self.generators, basis, DEGREVLEX))
+        return basis
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "buchberger", recording_buchberger)
+        mp.setattr(gb.PolyIdeal, "groebner_basis", recording_groebner_basis)
+        yield log
 
 
 def report(number, name, elapsed=None):
@@ -185,23 +210,18 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_groebner_self_checks(basis_log):
     # bases recorded while criteria 3-6 ran
     recorded = list(basis_log)
-    assert recorded, "criteria 3-6 must run before this check"
-    for record in recorded:
-        gb.verify_basis(record, recompute=True)
+    paths = [path for path, *_ in recorded]
+    assert "buchberger" in paths and "from_basis" in paths, (
+        "criteria 3-6 must run before this check"
+    )
+    for _, generators, basis, order in recorded:
+        verify_basis(generators, basis, order, recompute=True)
 
     t0 = time.monotonic()
     rng = seeded(800)
-    corpus_log = []
-    old = gb.BASIS_LOG
-    gb.BASIS_LOG = corpus_log
-    try:
-        for _ in range(20):
-            I = random_poly_ideal(rng, max_vars=3, max_gens=3, max_degree=3)
-            gb.buchberger(I.generators)
-    finally:
-        gb.BASIS_LOG = old
-    for record in corpus_log:
-        gb.verify_basis(record, recompute=True)
+    for _ in range(20):
+        I = random_poly_ideal(rng, max_vars=3, max_gens=3, max_degree=3)
+        verify_basis(I.generators, buchberger(I.generators), DEGREVLEX, recompute=True)
 
     checked = 0
     while checked < 50:
@@ -216,7 +236,8 @@ def test_criterion_8_groebner_self_checks(basis_log):
         checked += 1
     corpora_elapsed = time.monotonic() - t0
     assert corpora_elapsed < 60.0
-    report(8, f"{len(recorded)} recorded bases re-verified; random corpus "
+    report(8, f"{len(recorded)} recorded bases re-verified "
+              f"({paths.count('from_basis')} from a known basis); random corpus "
               f"and 50 elimination-vs-lcm pairs", corpora_elapsed)
 
 

@@ -141,6 +141,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "budget" in out.lower()
 
+    @pytest.mark.parametrize("budget", ["-1", "nan", "inf", "-inf"])
+    def test_bad_time_budget_is_2(self, capsys, budget):
+        code = main(["verify-paper", "--case", "ex31", f"--time-budget={budget}"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite number of seconds" in captured.err
+
     def test_failing_claim_is_5(self, capsys, monkeypatch):
         import sympow.cli as cli
 

@@ -1,9 +1,11 @@
 """Groebner kernel: division, Buchberger, ideal operations, self-checks."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from basis_oracle import verify_basis
 from conftest import (
     pideal,
     poly,
@@ -144,18 +146,9 @@ class TestBuchberger:
 
     def test_spoly_postcondition_random(self):
         rng = seeded(404)
-        log = []
-        old = gb.BASIS_LOG
-        gb.BASIS_LOG = log
-        try:
-            for _ in range(20):
-                I = random_poly_ideal(rng)
-                buchberger(I.generators)
-        finally:
-            gb.BASIS_LOG = old
-        assert log
-        for record in log:
-            gb.verify_basis(record, recompute=False)
+        for _ in range(20):
+            I = random_poly_ideal(rng)
+            verify_basis(I.generators, buchberger(I.generators), DEGREVLEX, recompute=False)
 
     def test_canonicity_random(self):
         rng = seeded(405)
@@ -166,6 +159,22 @@ class TestBuchberger:
             rng.shuffle(gens)
             scaled = [g * rng.choice([1, 2, -1, Fraction(1, 2)]) for g in gens]
             assert buchberger(scaled) == basis
+
+    @pytest.mark.parametrize("make_bad", [lambda R: 5, lambda R: R.variable("y")],
+                             ids=["int", "monomial"])
+    def test_non_polynomial_generator_is_refused(self, R3, make_bad):
+        # (x, 5) is the unit ideal; dropping the 5 would answer (x)
+        bad = make_bad(R3)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            buchberger([poly(R3, "x"), bad])
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            PolyIdeal(R3, [poly(R3, "x"), bad])
+
+    def test_zero_generators_are_dropped(self, R3):
+        x = poly(R3, "x")
+        assert buchberger([x, Polynomial.zero(R3)]) == (x,)
+        assert buchberger([Polynomial.zero(R3)]) == ()
+        assert PolyIdeal(R3, [Polynomial.zero(R3), x]).generators == (x,)
 
 
 class TestIdealOps:
