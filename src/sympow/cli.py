@@ -130,14 +130,20 @@ VERIFY_SCHEMA = {
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused below with the same message
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _budget_seconds(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: refused below with the same message
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError("must be a finite number of seconds >= 0")
     return value

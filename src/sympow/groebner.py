@@ -2,7 +2,7 @@
 
 Sparse polynomials with Fraction coefficients, monomial orders
 (degrevlex, lex, block elimination), multivariate division, Buchberger
-with the coprimality and chain criteria, reduced bases, and the ideal
+with the Gebauer-Moeller pair update, reduced bases, and the ideal
 operations built on them: membership, sum, product, power, intersection
 by elimination, colon by a polynomial, equality.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
 from math import gcd, lcm
 
 from .rings import Monomial, Ring, RingMismatchError, check_same_ring
@@ -450,12 +449,16 @@ def _reduced_from_basis(divisors, ring, order):
 def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     """Reduced Groebner basis of the ideal the generators span.
 
-    Pair selection is by smallest lcm (degree first); pairs with coprime
-    leading monomials are skipped, as are pairs covered by the chain
-    criterion. Every accepted element is content-normalized to keep the
-    rational arithmetic small. Each element's leading term and divisor
-    entry are computed once, when it joins the basis, and every reduction
-    reuses them. Termination is Dickson's lemma.
+    Pair selection is by smallest lcm (degree first). Pairs are pruned by
+    the Gebauer-Moeller update, run once each time an element joins the
+    basis: old pairs fall to criterion B, and of the new pairs only one per
+    minimal lcm stays (criteria M and F), none when a pair with that lcm
+    has coprime leading monomials. An element whose leading monomial a
+    later one divides forms no more pairs but still reduces. Every
+    accepted element is content-normalized to keep the rational arithmetic
+    small. Each element's leading term and divisor entry are computed
+    once, when it joins the basis, and every reduction reuses them.
+    Termination is Dickson's lemma.
     """
     gens = [g for g in _check_polynomials(generators) if not g.is_zero()]
     if not gens:
@@ -467,10 +470,42 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     key = order.key
     G = []
     lms = []
-    divisors = []  # (leading exps, leading coeff, coeffs), in the order of G
+    divisors = []  # (leading exps, leading coeff, coeffs), in basis order
+    active = []  # elements that still form pairs: no later lead divides theirs
+    pending = {}  # (i, j) -> lcm of the leads, for i < j
+    heap = []  # (degree, order key, i, j); a pair no longer pending is skipped
 
     def append(poly):
         de, dc = poly.leading(order)
+        degree = sum(de)
+        new = len(G)
+        # criterion B: the new lead divides L but neither lcm with it equals L
+        for (i, j), L in list(pending.items()):
+            if (
+                _exp_divides(de, L)
+                and L != _exp_lcm(lms[i], de)
+                and L != _exp_lcm(lms[j], de)
+            ):
+                del pending[i, j]
+        # new pairs, grouped by lcm: (first member, any member coprime);
+        # leads are coprime exactly when their lcm has the degree of their product
+        groups = {}
+        for j in active:
+            L = _exp_lcm(lms[j], de)
+            first, coprime = groups.get(L, (j, False))
+            groups[L] = (first, coprime or sum(L) == sum(lms[j]) + degree)
+        # criterion M keeps the minimal lcms; F keeps one pair of each
+        minimal = []
+        for L in sorted(groups, key=sum):
+            if not any(_exp_divides(m, L) for m in minimal):
+                minimal.append(L)
+        for L in minimal:
+            j, coprime = groups[L]
+            if not coprime:
+                pending[j, new] = L
+                heappush(heap, (sum(L), key(L), j, new))
+        active[:] = [j for j in active if not _exp_divides(de, lms[j])]
+        active.append(new)
         G.append(poly)
         lms.append(de)
         divisors.append((de, dc, poly.coeffs))
@@ -484,48 +519,13 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
         if not r.is_zero():
             append(r.content_normalized())
 
-    pending = set()
-    heap = []
-
-    def push_pair(i, j):
-        if i > j:
-            i, j = j, i
-        L = _exp_lcm(lms[i], lms[j])
-        heappush(heap, (sum(L), key(L), i, j))
-        pending.add((i, j))
-
-    for i, j in combinations(range(len(G)), 2):
-        push_pair(i, j)
-
     while heap:
         _, _, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        li, lj = lms[i], lms[j]
-        L = _exp_lcm(li, lj)
-        # coprime leading monomials: the S-polynomial always reduces to zero
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue
-        # chain criterion: some k divides the lcm and both mixed pairs are done
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if _exp_divides(lms[k], L):
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+        if pending.pop((i, j), None) is None:
             continue
         r = reduce(s_polynomial(G[i], G[j], order))
         if not r.is_zero():
             append(r.content_normalized())
-            new = len(G) - 1
-            for k in range(new):
-                push_pair(k, new)
 
     return _reduced_from_basis(divisors, ring, order)
 
@@ -647,8 +647,9 @@ def _drop_aux(f: Polynomial, ring: Ring) -> Polynomial:
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J by elimination: adjoin w, take w*I + (1-w)*J, drop w.
 
-    The w-free part of the block-order basis is a degrevlex Groebner
-    basis of the intersection.
+    The w-free part of the reduced block-order basis, in the same order,
+    is the reduced degrevlex basis of the intersection; the result keeps
+    it and has its content-normalized elements as generators.
     """
     _check_rings(I, J)
     if I.is_zero() or J.is_zero():
@@ -667,8 +668,10 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
                 raise InternalInvariantError(
                     "w-free leading monomial but a w-bearing tail term"
                 )
-            keep.append(_drop_aux(g, I.ring).content_normalized())
-    return PolyIdeal.from_basis(I.ring, keep)
+            keep.append(_drop_aux(g, I.ring))
+    result = PolyIdeal(I.ring, [g.content_normalized() for g in keep])
+    result._basis = tuple(keep)
+    return result
 
 
 def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:

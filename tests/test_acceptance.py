@@ -2,9 +2,10 @@
 
 Each test prints one ``ACCEPTANCE <n> ... PASS`` line (visible with
 ``pytest -s`` or in captured output on failure). A module fixture wraps
-``buchberger`` and the ``from_basis`` path of ``PolyIdeal.groebner_basis``
-so that every Groebner basis criteria 3-6 compute is recorded; criterion 8
-re-verifies each record with the test oracle in ``basis_oracle``.
+``buchberger``, the ``from_basis`` path of ``PolyIdeal.groebner_basis`` and
+``ideal_intersect`` (whose result carries its basis) so that every Groebner
+basis criteria 3-6 compute is recorded; criterion 8 re-verifies each record
+with the test oracle in ``basis_oracle``.
 """
 
 import json
@@ -20,6 +21,7 @@ from conftest import (
     seeded,
 )
 
+import sympow.counterexamples as cx
 import sympow.groebner as gb
 from sympow import (
     DEGREVLEX,
@@ -67,6 +69,7 @@ def basis_log():
     log = []
     run_buchberger = gb.buchberger
     groebner_basis = gb.PolyIdeal.groebner_basis
+    run_intersect = gb.ideal_intersect
 
     def recording_buchberger(generators, order=DEGREVLEX):
         generators = tuple(generators)
@@ -82,9 +85,17 @@ def basis_log():
             log.append(("from_basis", self.generators, basis, DEGREVLEX))
         return basis
 
+    def recording_intersect(I, J):
+        # the result holds the w-free part of the block-order basis
+        result = run_intersect(I, J)
+        log.append(("ideal_intersect", result.generators, result.groebner_basis(), DEGREVLEX))
+        return result
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gb, "buchberger", recording_buchberger)
         mp.setattr(gb.PolyIdeal, "groebner_basis", recording_groebner_basis)
+        mp.setattr(gb, "ideal_intersect", recording_intersect)
+        mp.setattr(cx, "ideal_intersect", recording_intersect)
         yield log
 
 
@@ -211,7 +222,7 @@ def test_criterion_8_groebner_self_checks(basis_log):
     # bases recorded while criteria 3-6 ran
     recorded = list(basis_log)
     paths = [path for path, *_ in recorded]
-    assert "buchberger" in paths and "from_basis" in paths, (
+    assert {"buchberger", "from_basis", "ideal_intersect"} <= set(paths), (
         "criteria 3-6 must run before this check"
     )
     for _, generators, basis, order in recorded:
@@ -237,7 +248,8 @@ def test_criterion_8_groebner_self_checks(basis_log):
     corpora_elapsed = time.monotonic() - t0
     assert corpora_elapsed < 60.0
     report(8, f"{len(recorded)} recorded bases re-verified "
-              f"({paths.count('from_basis')} from a known basis); random corpus "
+              f"({paths.count('from_basis')} from a known basis, "
+              f"{paths.count('ideal_intersect')} from an intersection); random corpus "
               f"and 50 elimination-vs-lcm pairs", corpora_elapsed)
 
 

@@ -1,6 +1,7 @@
 """CLI contract: flags, report shapes, JSON schemas, exit codes."""
 
 import json
+import re
 
 import jsonschema
 import pytest
@@ -148,6 +149,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite number of seconds" in captured.err
+
+    @pytest.mark.parametrize("argv, rule", [
+        (["growth", "--file", "f", "--ideal", "I", "--N", "x"],
+         "argument --N: must be a positive integer"),
+        (["sympow", "--file", "f", "--ideal", "I", "--n", "2.5"],
+         "argument --n: must be a positive integer"),
+        (["verify-paper", "--time-budget", "abc"],
+         "argument --time-budget: must be a finite number of seconds >= 0"),
+    ], ids=["growth-N", "sympow-n", "time-budget"])
+    def test_malformed_number_is_2(self, capsys, argv, rule):
+        code = main(argv)
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert rule in err
+        # no Python helper name such as _positive_int leaks into the message
+        assert not re.search(r"\b_[a-z]", err)
 
     def test_failing_claim_is_5(self, capsys, monkeypatch):
         import sympow.cli as cli

@@ -1,5 +1,6 @@
 """Groebner kernel: division, Buchberger, ideal operations, self-checks."""
 
+import hashlib
 import re
 from fractions import Fraction
 from math import gcd
@@ -28,12 +29,13 @@ from sympow import (
     divide_exact,
     ideal_equals,
     ideal_intersect,
+    ideal_power,
     ideal_product,
     ideal_quotient,
     ideal_sum,
     normal_form,
 )
-from sympow.counterexamples import builtin_case_A6
+from sympow.counterexamples import builtin_case_A6, builtin_case_A7, colon_ideal
 from sympow.ideal_files import monomial_ideal_from_poly
 
 
@@ -170,11 +172,56 @@ class TestBuchberger:
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             PolyIdeal(R3, [poly(R3, "x"), bad])
 
+    def test_divided_lead_still_reduces(self, R3):
+        # xy - z^2 joins after x^2*y + z^3 and its lead divides x^2*y: the
+        # first element forms no new pairs, yet the ideal needs it
+        first, second = poly(R3, "x^2*y + z^3"), poly(R3, "x*y - z^2")
+        basis = buchberger([first, second])
+        verify_basis([first, second], basis, DEGREVLEX)
+        assert normal_form(first, list(basis)).is_zero()
+        assert not normal_form(first, [second]).is_zero()
+        # x*z^2 + z^3 = first - x*second is the element the pair contributes
+        assert poly(R3, "x*z^2 + z^3") in basis
+
     def test_zero_generators_are_dropped(self, R3):
         x = poly(R3, "x")
         assert buchberger([x, Polynomial.zero(R3)]) == (x,)
         assert buchberger([Polynomial.zero(R3)]) == ()
         assert PolyIdeal(R3, [Polynomial.zero(R3), x]).generators == (x,)
+
+
+def prime_power_fold(case, n):
+    """The intersection of the case's primes' n-th powers, in the case's order."""
+    inter = ideal_power(case.primes[0], n)
+    for p in case.primes[1:]:
+        inter = ideal_intersect(inter, ideal_power(p, n))
+    return inter
+
+
+CASES = {"A6": builtin_case_A6, "A7": builtin_case_A7}
+
+
+class TestPinnedBases:
+    """sha256 of repr(groebner_basis()) for the paper's ideals: a change to the
+    pair selection or pruning that alters any basis byte fails here."""
+
+    @pytest.mark.parametrize("name, n, digest", [
+        ("A6", 2, "faac5c18702d80b54973b67f31cf018b4440218b566cfa9dad08d3a13bc5cb7d"),
+        ("A6", 3, "0a3b3760b9aabcd61465049b51626359cb2ed7fc1e875d53b2cac61ca6a517d8"),
+        ("A7", 2, "3cb6bfa635070c53290f0a12335e38b66f5a9f0e51dd3e4fd560f85cbf3a8218"),
+        ("A7", 3, "7d3f43b29ffb81179ba1167c636ed51f3945d5de4a8f347a09e5f26d325d7c21"),
+    ], ids=["A6-n2", "A6-n3", "A7-n2", "A7-n3"])
+    def test_prime_power_fold(self, name, n, digest):
+        basis = prime_power_fold(CASES[name](), n).groebner_basis()
+        assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, digest", [
+        ("A6", "ca00ee39bc53d705fc0b066eeac103ecab366e5c575909fe6901a82857fc4e4e"),
+        ("A7", "010ee3b938fd63e121c704744ac7d88d5cfc2718fb24d46b3c8de5487e430d22"),
+    ], ids=["A6", "A7"])
+    def test_colon_by_witness(self, name, digest):
+        basis = colon_ideal(CASES[name]()).groebner_basis()
+        assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
 
 class TestIdealOps:
@@ -237,6 +284,14 @@ class TestIntersect:
                 continue
             by_kernel = ideal_intersect(poly_ideal_of(K), poly_ideal_of(L))
             assert monomial_ideal_from_poly(by_kernel) == K.intersect(L)
+
+    def test_handed_over_basis_is_reduced(self):
+        # every step of the A6 fold at n = 2 keeps the w-free block-order basis
+        case = builtin_case_A6()
+        inter = ideal_power(case.primes[0], 2)
+        for p in case.primes[1:]:
+            inter = ideal_intersect(inter, ideal_power(p, 2))
+            assert inter.groebner_basis() == buchberger(inter.generators)
 
     def test_soundness_random(self):
         rng = seeded(407)

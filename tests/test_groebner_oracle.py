@@ -1,4 +1,5 @@
-"""Differential tests: reduced degrevlex bases and intersections against sympy."""
+"""Differential tests against sympy (reduced degrevlex bases, intersections),
+and the basis oracle on inputs that stress the pair pruning of ``buchberger``."""
 
 from fractions import Fraction
 
@@ -7,10 +8,19 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from basis_oracle import verify_basis  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sympow import DEGREVLEX, PolyIdeal, Polynomial, Ring, buchberger, ideal_intersect  # noqa: E402
+from sympow import (  # noqa: E402
+    DEGREVLEX,
+    LEX,
+    BlockElimination,
+    PolyIdeal,
+    Polynomial,
+    Ring,
+    buchberger,
+    ideal_intersect,
+)
 
 NAMES = ("x", "y", "z")
 
@@ -38,6 +48,20 @@ def small_ideal_pairs(draw):
     nvars = draw(st.integers(1, 3))
     gens = generator_lists(nvars, max_gens=2, max_degree=2)
     return nvars, draw(gens), draw(gens)
+
+
+@st.composite
+def monomials_and_binomials(draw):
+    """(number of variables, generator term dicts): monomials and binomials in
+    3-4 variables with exponents <= 3 and degree <= 5, so that many leads
+    share an lcm or have disjoint supports."""
+    nvars = draw(st.integers(3, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda e: sum(e) <= 5)
+    monomial = exps.map(lambda e: {e: 1})
+    binomial = st.tuples(exps, exps, st.sampled_from([-2, -1, 1, 3])).filter(
+        lambda t: t[0] != t[1]
+    ).map(lambda t: {t[0]: 1, t[1]: t[2]})
+    return nvars, draw(st.lists(st.one_of(monomial, binomial), min_size=2, max_size=7))
 
 
 def monic(terms):
@@ -89,5 +113,23 @@ def test_intersection_matches_sympy_elimination(pair):
     ring = Ring(NAMES[:nvars])
     I = PolyIdeal(ring, [Polynomial(ring, g) for g in I_gens])
     J = PolyIdeal(ring, [Polynomial(ring, g) for g in J_gens])
-    basis = ideal_intersect(I, J).groebner_basis()
+    result = ideal_intersect(I, J)
+    basis = result.groebner_basis()
     assert {monic(g.coeffs) for g in basis} == sympy_basis(symbols, t_free)
+    # the basis the intersection hands over is the one Buchberger would find
+    assert basis == buchberger(result.generators)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, BlockElimination(1)],
+                         ids=["degrevlex", "lex", "block1"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ideal=monomials_and_binomials())
+# w^2, xzw, w - 2z^2w, xz: criterion B must keep an old pair whose lcm equals
+# one of its lcms with the new lead, and a one-sided check loses an S-pair here
+@example(ideal=(4, [{(0, 0, 0, 2): 1}, {(1, 0, 1, 1): 1},
+                    {(0, 0, 0, 1): 1, (0, 0, 2, 1): -2}, {(1, 0, 1, 0): 1}]))
+def test_pair_pruning_keeps_the_basis(order, ideal):
+    nvars, gens = ideal
+    ring = Ring(("x", "y", "z", "w")[:nvars])
+    polys = [Polynomial(ring, g) for g in gens]
+    verify_basis(polys, buchberger(polys, order), order)
