@@ -4,14 +4,16 @@ Sparse polynomials with Fraction coefficients, monomial orders
 (degrevlex, lex, block elimination), multivariate division, Buchberger
 with the Gebauer-Moeller pair update, reduced bases, and the ideal
 operations built on them: membership, sum, product, power, intersection
-by elimination, colon by a polynomial, equality.
+by elimination, colon by a polynomial, equality. Division runs on
+integer term dicts inside the module; public polynomials keep Fraction
+coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rings import Monomial, Ring, RingMismatchError, check_same_ring
@@ -96,9 +98,21 @@ def _exp_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _support(exps):
+    """Bitmask of the variables with a positive exponent."""
+    mask = 0
+    for i, x in enumerate(exps):
+        if x:
+            mask |= 1 << i
+    return mask
+
+
 class Polynomial:
     """Sparse exact-rational polynomial: a dict from exponent tuple to Fraction.
 
+    Each exponent tuple holds one non-negative int per ring variable
+    (ValueError otherwise); coefficients are ints or Fractions, and a
+    float raises TypeError rather than being stored as its binary value.
     Instances are immutable by convention; all arithmetic returns new
     objects. Term order is a presentation concern: printing sorts the
     terms under degrevlex and never changes the stored term multiset.
@@ -110,7 +124,15 @@ class Polynomial:
         self.ring = ring
         clean = {}
         if coeffs:
+            n = ring.nvars
             for e, c in coeffs.items():
+                # a float or Fraction entry makes the sum a non-int
+                if len(e) != n or min(e) < 0 or not isinstance(sum(e), int):
+                    raise ValueError(
+                        f"exponent vector {e!r} is not {n} non-negative integers"
+                    )
+                if isinstance(c, float):
+                    raise TypeError(f"inexact coefficient {c!r}; use an int or a Fraction")
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
@@ -126,7 +148,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: Ring, c) -> Polynomial:
-        return cls(ring, {(0,) * ring.nvars: Fraction(c)})
+        return cls(ring, {(0,) * ring.nvars: c})
 
     @classmethod
     def variable(cls, ring: Ring, name: str) -> Polynomial:
@@ -136,7 +158,7 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, m: Monomial, c=1) -> Polynomial:
-        return cls(m.ring, {m.exponents: Fraction(c)})
+        return cls(m.ring, {m.exponents: c})
 
     # -- basic queries
 
@@ -246,15 +268,7 @@ class Polynomial:
         """Scale to primitive integer coefficients, lex-leading one positive."""
         if not self.coeffs:
             return self
-        g = 0
-        l = 1
-        for c in self.coeffs.values():
-            g = gcd(g, c.numerator)
-            l = lcm(l, c.denominator)
-        scale = Fraction(l, g)
-        if self.coeffs[max(self.coeffs)] < 0:
-            scale = -scale
-        return Polynomial(self.ring, {e: c * scale for e, c in self.coeffs.items()})
+        return Polynomial(self.ring, _primitive(_integer_terms(self.coeffs)[0]))
 
     # -- plumbing
 
@@ -298,36 +312,72 @@ class Polynomial:
 # division
 
 
-def _reduce_dict(p, divisors, order):
-    """Remainder of the term dict p modulo the prepared divisors.
+def _integer_terms(coeffs):
+    """(integer term dict, d) where the dict is d times the Fraction term dict
+    and d > 0 is the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
 
-    Divisors are (leading exps, leading coeff, coeff dict), tried in list
-    order. New monomials introduced by a reduction step are strictly
+
+def _primitive(terms):
+    """A nonzero integer term dict divided by its content, lex-leading term positive."""
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return {e: c // g for e, c in terms.items()}
+
+
+def _entry(terms, order):
+    """Divisor entry of a nonzero integer term dict:
+    (leading exps, leading coeff, terms, support mask of the leading exps)."""
+    de = max(terms, key=order.key)
+    return de, terms[de], terms, _support(de)
+
+
+def _reduce_dict(p, divisors, order):
+    """Remainder of the integer term dict p modulo the divisor entries, and its scale.
+
+    Divisors are entries ``(leading exps, leading coeff, integer coeff dict,
+    support mask)``, tried in list order; a support mask that is not a
+    subset of the term's own rules a divisor out before its exponents are
+    compared. Each step cancels the largest reducible term c*x^e by a
+    divisor d with leading term dc*x^de, fraction-free: with g = gcd(c, dc)
+    signed like dc, p <- (dc/g)*p - (c/g)*x^(e - de)*d. Returns (r, s):
+    s > 0 is the product of the multipliers dc/g, r is s times the
+    remainder of exact division in the same order, and s*p - r lies in the
+    ideal of the divisors. New monomials introduced by a step are strictly
     smaller than the one cancelled, so a lazy max-heap over the live
     monomials is sound.
     """
     key = order.key
     p = dict(p)
-    r = {}
-    heap = []
-    for e in p:
-        heappush(heap, (tuple(-k for k in key(e)), e))
+    heap = [(tuple(-k for k in key(e)), e) for e in p]
+    heapify(heap)
+    scale = 1
+    moved = {}  # remainder term -> (coeff, scale when it was moved)
     while heap:
         _, e = heappop(heap)
-        c = p.get(e)
+        c = p.pop(e, None)
         if c is None:
             continue
-        for de, dc, dcoeffs in divisors:
-            if _exp_divides(de, e):
-                factor = c / dc
+        emask = _support(e)
+        for de, dc, dcoeffs, dmask in divisors:
+            if not dmask & ~emask and _exp_divides(de, e):
+                g = gcd(c, dc)
+                if dc < 0:
+                    g = -g
+                m, f = dc // g, c // g
+                if m != 1:
+                    scale *= m
+                    for t in p:
+                        p[t] *= m
                 shift = tuple(a - b for a, b in zip(e, de))
-                del p[e]
                 for e2, c2 in dcoeffs.items():
                     if e2 == de:
                         continue
                     tgt = _exp_mul(e2, shift)
                     old = p.get(tgt)
-                    v = (old if old is not None else 0) - factor * c2
+                    v = (old if old is not None else 0) - f * c2
                     if v:
                         p[tgt] = v
                         if old is None:
@@ -336,50 +386,59 @@ def _reduce_dict(p, divisors, order):
                         del p[tgt]
                 break
         else:
-            del p[e]
-            r[e] = c
-    return r
+            moved[e] = (c, scale)
+    return {e: c * (scale // s) for e, (c, s) in moved.items()}, scale
 
 
 def _prepare_divisors(G, order):
-    out = []
-    for g in G:
-        if g.is_zero():
-            continue
-        de, dc = g.leading(order)
-        out.append((de, dc, g.coeffs))
-    return out
+    return [_entry(_integer_terms(g.coeffs)[0], order) for g in G if g]
 
 
 def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Remainder of f on division by G (tried in list order).
 
     f minus the result lies in the ideal spanned by G, and no remainder
-    term is divisible by any leading monomial of G.
+    term is divisible by any leading monomial of G. The division runs on
+    integer multiples of f and G; the result is the kernel's remainder
+    divided by its scale and by the denominator cleared from f, so it is
+    exact.
     """
     divisors = _prepare_divisors(G, order)
     if not divisors:
         return f
-    return Polynomial(f.ring, _reduce_dict(f.coeffs, divisors, order))
+    terms, den = _integer_terms(f.coeffs)
+    r, scale = _reduce_dict(terms, divisors, order)
+    return Polynomial(f.ring, {e: Fraction(c, scale * den) for e, c in r.items()})
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    L = _exp_lcm(ef, eg)
-    sf = tuple(a - b for a, b in zip(L, ef))
-    sg = tuple(a - b for a, b in zip(L, eg))
-    out = {}
-    for e, c in f.coeffs.items():
-        out[_exp_mul(e, sf)] = c / cf
-    for e, c in g.coeffs.items():
-        tgt = _exp_mul(e, sg)
-        v = out.get(tgt, 0) - c / cg
+def _s_terms(a, b, L):
+    """Integer S-polynomial of two divisor entries whose leads have lcm L:
+    (cb/g)*x^(L - ea)*a - (ca/g)*x^(L - eb)*b with g = gcd(ca, cb)."""
+    ea, ca, ta, _ = a
+    eb, cb, tb, _ = b
+    g = gcd(ca, cb)
+    ma, mb = cb // g, ca // g
+    sa = tuple(x - y for x, y in zip(L, ea))
+    sb = tuple(x - y for x, y in zip(L, eb))
+    out = {_exp_mul(e, sa): c * ma for e, c in ta.items()}
+    for e, c in tb.items():
+        tgt = _exp_mul(e, sb)
+        v = out.get(tgt, 0) - c * mb
         if v:
             out[tgt] = v
         else:
             out.pop(tgt, None)
-    return Polynomial(f.ring, out)
+    return out
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g for the leading terms lt under order."""
+    if not f or not g:
+        raise ValueError("the zero polynomial has no leading term")
+    a, b = _prepare_divisors((f, g), order)
+    terms = _s_terms(a, b, _exp_lcm(a[0], b[0]))
+    scale = Fraction(gcd(a[1], b[1]), a[1] * b[1])
+    return Polynomial(f.ring, {e: c * scale for e, c in terms.items()})
 
 
 def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -429,6 +488,7 @@ def _reduced_from_basis(divisors, ring, order):
 
     Each minimal entry's tail is reduced against all minimal entries: its
     own leading monomial is bigger than every tail term, so never divides one.
+    The element is made monic from the integer entry and the kernel's scale.
     """
     key = order.key
     minimal = []
@@ -436,13 +496,13 @@ def _reduced_from_basis(divisors, ring, order):
         if not any(_exp_divides(m[0], entry[0]) for m in minimal):
             minimal.append(entry)
     out = []
-    for de, dc, coeffs in reversed(minimal):
-        reduced = {de: dc}
-        reduced.update(
-            _reduce_dict({e: c for e, c in coeffs.items() if e != de}, minimal, order)
+    for de, dc, terms, _ in reversed(minimal):
+        tail, scale = _reduce_dict(
+            {e: c for e, c in terms.items() if e != de}, minimal, order
         )
-        inv = 1 / dc
-        out.append(Polynomial(ring, {e: c * inv for e, c in reduced.items()}))
+        coeffs = {e: Fraction(c, scale * dc) for e, c in tail.items()}
+        coeffs[de] = Fraction(1)
+        out.append(Polynomial(ring, coeffs))
     return tuple(out)
 
 
@@ -454,11 +514,11 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     basis: old pairs fall to criterion B, and of the new pairs only one per
     minimal lcm stays (criteria M and F), none when a pair with that lcm
     has coprime leading monomials. An element whose leading monomial a
-    later one divides forms no more pairs but still reduces. Every
-    accepted element is content-normalized to keep the rational arithmetic
-    small. Each element's leading term and divisor entry are computed
-    once, when it joins the basis, and every reduction reuses them.
-    Termination is Dickson's lemma.
+    later one divides forms no more pairs but still reduces. Elements are
+    primitive integer term dicts: each remainder is content-normalized as
+    it joins the basis, S-polynomials are integer cross-multiples of two
+    divisor entries, and each element's divisor entry is built once, when
+    it joins, and reused by every reduction. Termination is Dickson's lemma.
     """
     gens = [g for g in _check_polynomials(generators) if not g.is_zero()]
     if not gens:
@@ -468,17 +528,17 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
         check_same_ring(gens[0], g)
 
     key = order.key
-    G = []
     lms = []
-    divisors = []  # (leading exps, leading coeff, coeffs), in basis order
+    divisors = []  # divisor entries, in basis order
     active = []  # elements that still form pairs: no later lead divides theirs
     pending = {}  # (i, j) -> lcm of the leads, for i < j
     heap = []  # (degree, order key, i, j); a pair no longer pending is skipped
 
-    def append(poly):
-        de, dc = poly.leading(order)
+    def append(terms):
+        entry = _entry(terms, order)
+        de = entry[0]
         degree = sum(de)
-        new = len(G)
+        new = len(divisors)
         # criterion B: the new lead divides L but neither lcm with it equals L
         for (i, j), L in list(pending.items()):
             if (
@@ -506,26 +566,23 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
                 heappush(heap, (sum(L), key(L), j, new))
         active[:] = [j for j in active if not _exp_divides(de, lms[j])]
         active.append(new)
-        G.append(poly)
         lms.append(de)
-        divisors.append((de, dc, poly.coeffs))
+        divisors.append(entry)
 
-    def reduce(f):
-        return Polynomial(ring, _reduce_dict(f.coeffs, divisors, order))
+    def reduce_and_append(terms):
+        r, _ = _reduce_dict(terms, divisors, order)
+        if r:
+            append(_primitive(r))
 
     # light interreduction of the inputs: one pass, keeps the pair queue small
     for g in gens:
-        r = reduce(g)
-        if not r.is_zero():
-            append(r.content_normalized())
+        reduce_and_append(_integer_terms(g.coeffs)[0])
 
     while heap:
         _, _, i, j = heappop(heap)
-        if pending.pop((i, j), None) is None:
-            continue
-        r = reduce(s_polynomial(G[i], G[j], order))
-        if not r.is_zero():
-            append(r.content_normalized())
+        L = pending.pop((i, j), None)
+        if L is not None:
+            reduce_and_append(_s_terms(divisors[i], divisors[j], L))
 
     return _reduced_from_basis(divisors, ring, order)
 
@@ -535,9 +592,10 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
 
 
 class PolyIdeal:
-    """Generator list plus its reduced degrevlex Groebner basis, computed once."""
+    """Generator list plus its reduced degrevlex Groebner basis, computed once,
+    and that basis's divisor entries, built on the first membership query."""
 
-    __slots__ = ("ring", "generators", "_basis", "_is_basis")
+    __slots__ = ("ring", "generators", "_basis", "_is_basis", "_divisors")
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
@@ -548,6 +606,7 @@ class PolyIdeal:
         self.generators = tuple(g for g in gens if not g.is_zero())
         self._basis = None
         self._is_basis = False
+        self._divisors = None
 
     @classmethod
     def from_basis(cls, ring: Ring, basis) -> PolyIdeal:
@@ -582,7 +641,10 @@ class PolyIdeal:
         check_same_ring(f, self)
         if f.is_zero():
             return True
-        return normal_form(f, self.groebner_basis()).is_zero()
+        if self._divisors is None:
+            self._divisors = _prepare_divisors(self.groebner_basis(), DEGREVLEX)
+        remainder, _ = _reduce_dict(_integer_terms(f.coeffs)[0], self._divisors, DEGREVLEX)
+        return not remainder
 
     def __str__(self):
         if not self.generators:

@@ -39,13 +39,7 @@ from sympow import (
     symbolic_power_squarefree,
 )
 from sympow.cases import case_ex31, case_ex32
-from sympow.cli import (
-    BOUNDS_SCHEMA,
-    GROWTH_SCHEMA,
-    SYMPOW_SCHEMA,
-    VERIFY_SCHEMA,
-    main,
-)
+from sympow.cli import main
 from sympow.counterexamples import (
     builtin_case_A6,
     builtin_case_A7,
@@ -56,6 +50,7 @@ from sympow.counterexamples import (
     witness_not_in_square,
 )
 from sympow.ideal_files import format_generators, monomial_ideal_from_poly, parse_ideal_file
+from sympow.schemas import BOUNDS_SCHEMA, GROWTH_SCHEMA, SYMPOW_SCHEMA, VERIFY_SCHEMA
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -7,17 +7,14 @@ import jsonschema
 import pytest
 
 from sympow.cli import (
-    BOUNDS_SCHEMA,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_VERIFY_FAIL,
-    GROWTH_SCHEMA,
-    SYMPOW_SCHEMA,
-    VERIFY_SCHEMA,
     main,
 )
+from sympow.schemas import BOUNDS_SCHEMA, GROWTH_SCHEMA, SYMPOW_SCHEMA, VERIFY_SCHEMA
 
 EX31_FILE = """\
 ring: x y z t

@@ -10,6 +10,7 @@ from basis_oracle import verify_basis
 from conftest import (
     pideal,
     poly,
+    random_monomial,
     random_monomial_ideal,
     random_poly_ideal,
     random_polynomial,
@@ -34,6 +35,7 @@ from sympow import (
     ideal_quotient,
     ideal_sum,
     normal_form,
+    s_polynomial,
 )
 from sympow.counterexamples import builtin_case_A6, builtin_case_A7, colon_ideal
 from sympow.ideal_files import monomial_ideal_from_poly
@@ -104,6 +106,22 @@ class TestPolynomialArithmetic:
         q = p.content_normalized()
         assert q == poly(R3, "2*x - 3*y")
 
+    @pytest.mark.parametrize("make", [
+        lambda R: Polynomial(R, {(1, 0, 0): 0.1}),
+        lambda R: Polynomial.constant(R, 0.5),
+        lambda R: Polynomial.from_monomial(R.variable("x"), 2.0),
+    ], ids=["dict", "constant", "monomial"])
+    def test_float_coefficient_is_refused(self, R3, make):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            make(R3)
+
+    @pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0), (1, 0, -1), (Fraction(1, 2), 0, 0)],
+                             ids=["short", "long", "negative", "fractional"])
+    def test_malformed_exponent_vector_is_refused(self, R3, exps):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Polynomial(R3, {exps: 1})
+
 
 class TestNormalForm:
     def test_self_reduction(self, R3):
@@ -129,6 +147,79 @@ class TestNormalForm:
                 for g in G:
                     le, _ = g.leading(DEGREVLEX)
                     assert not all(a <= b for a, b in zip(le, e))
+
+
+def long_division(f, G, order):
+    """Reference remainder: textbook division with Fraction arithmetic, the
+    largest term first, reduced by the first element of G whose leading
+    monomial divides it."""
+    leads = [(max(g.coeffs, key=order.key), g) for g in G if not g.is_zero()]
+    p, r = dict(f.coeffs), {}
+    while p:
+        e = max(p, key=order.key)
+        c = p.pop(e)
+        for le, g in leads:
+            if all(a <= b for a, b in zip(le, e)):
+                factor = c / g.coeffs[le]
+                shift = tuple(a - b for a, b in zip(e, le))
+                for e2, c2 in g.coeffs.items():
+                    if e2 != le:
+                        tgt = tuple(a + b for a, b in zip(e2, shift))
+                        p[tgt] = p.get(tgt, 0) - factor * c2
+                        if not p[tgt]:
+                            del p[tgt]
+                break
+        else:
+            r[e] = c
+    return Polynomial(f.ring, r)
+
+
+def rational_polynomial(rng, ring, lead=None, order=DEGREVLEX):
+    """Random polynomial with rational coefficients; lead, if given, is put
+    on its leading term under order."""
+    while True:
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            m = random_monomial(rng, ring, 3)
+            coeffs[m.exponents] = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+        f = Polynomial(ring, coeffs)
+        if not f.is_zero():
+            break
+    if lead is not None:
+        coeffs = dict(f.coeffs)
+        coeffs[f.leading(order)[0]] = lead
+        f = Polynomial(ring, coeffs)
+    return f
+
+
+class TestDivisionReference:
+    """normal_form and s_polynomial against Fraction arithmetic, with divisors
+    whose leading coefficients are not units of the integers (the paper's
+    ideals have leading coefficients 1 and -1 only)."""
+
+    LEADS = (Fraction(3, 2), Fraction(-5), Fraction(7, 3))
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, LEX, BlockElimination(1)],
+                             ids=["degrevlex", "lex", "block1"])
+    def test_normal_form_matches_long_division(self, R3, order):
+        rng = seeded(410)
+        for _ in range(60):
+            G = [rational_polynomial(rng, R3, rng.choice(self.LEADS), order)
+                 for _ in range(rng.randint(1, 3))]
+            f = rational_polynomial(rng, R3) * rational_polynomial(rng, R3)
+            assert normal_form(f, G, order) == long_division(f, G, order)
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+    def test_s_polynomial_matches_definition(self, R3, order):
+        rng = seeded(411)
+        for _ in range(60):
+            f = rational_polynomial(rng, R3, rng.choice(self.LEADS), order)
+            g = rational_polynomial(rng, R3, rng.choice(self.LEADS), order)
+            (ef, cf), (eg, cg) = f.leading(order), g.leading(order)
+            L = tuple(max(a, b) for a, b in zip(ef, eg))
+            lf = Polynomial(R3, {tuple(a - b for a, b in zip(L, ef)): 1 / cf})
+            lg = Polynomial(R3, {tuple(a - b for a, b in zip(L, eg)): 1 / cg})
+            assert s_polynomial(f, g, order) == lf * f - lg * g
 
 
 class TestBuchberger:
@@ -208,9 +299,11 @@ class TestPinnedBases:
     @pytest.mark.parametrize("name, n, digest", [
         ("A6", 2, "faac5c18702d80b54973b67f31cf018b4440218b566cfa9dad08d3a13bc5cb7d"),
         ("A6", 3, "0a3b3760b9aabcd61465049b51626359cb2ed7fc1e875d53b2cac61ca6a517d8"),
+        ("A6", 4, "3c7276fd32542b3e464429feb8a6492c7447cfb8aafa905eb6f867c87f5c8240"),
         ("A7", 2, "3cb6bfa635070c53290f0a12335e38b66f5a9f0e51dd3e4fd560f85cbf3a8218"),
         ("A7", 3, "7d3f43b29ffb81179ba1167c636ed51f3945d5de4a8f347a09e5f26d325d7c21"),
-    ], ids=["A6-n2", "A6-n3", "A7-n2", "A7-n3"])
+        ("A7", 4, "eb38d34edc4ac6cc73fb15f351ad084c8b71a84ae4539bf968bebeb149ce0e22"),
+    ], ids=["A6-n2", "A6-n3", "A6-n4", "A7-n2", "A7-n3", "A7-n4"])
     def test_prime_power_fold(self, name, n, digest):
         basis = prime_power_fold(CASES[name](), n).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest

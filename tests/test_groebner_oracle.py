@@ -86,6 +86,12 @@ def sympy_basis(symbols, exprs):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_ideals())
+# leading coefficients 3/2, -5 and 7/3 under degrevlex: the integer kernel
+# scales by a multiplier other than 1 only when a divisor's integer leading
+# coefficient is not 1 or -1, which never happens on the paper's ideals
+@example(ideal=(3, [{(2, 1, 0): Fraction(3, 2), (0, 1, 2): -5, (0, 0, 0): 1},
+                    {(1, 2, 0): -5, (0, 0, 2): Fraction(7, 3)},
+                    {(1, 0, 1): Fraction(7, 3), (0, 1, 0): -1, (0, 0, 0): Fraction(3, 2)}]))
 def test_reduced_basis_matches_sympy(ideal):
     nvars, gens = ideal
     ring = Ring(NAMES[:nvars])
