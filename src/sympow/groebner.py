@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add, le, neg, sub
 
 from .rings import Monomial, Ring, RingMismatchError, check_same_ring
 
@@ -43,9 +44,7 @@ class MonomialOrder:
 @dataclass(frozen=True)
 class DegRevLex(MonomialOrder):
     def key(self, exps):
-        out = [sum(exps)]
-        out.extend(-e for e in reversed(exps))
-        return tuple(out)
+        return (sum(exps), *map(neg, exps[::-1]))
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,7 @@ class BlockElimination(MonomialOrder):
     def key(self, exps):
         k = self.first_k
         head, tail = exps[:k], exps[k:]
-        out = [sum(head)]
-        out.extend(-e for e in reversed(head))
-        out.append(sum(tail))
-        out.extend(-e for e in reversed(tail))
-        return tuple(out)
+        return (sum(head), *map(neg, head[::-1]), sum(tail), *map(neg, tail[::-1]))
 
 
 DEGREVLEX = DegRevLex()
@@ -87,23 +82,25 @@ LEX = Lex()
 
 
 def _exp_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _support(exps):
     """Bitmask of the variables with a positive exponent."""
     mask = 0
-    for i, x in enumerate(exps):
+    bit = 1
+    for x in exps:
         if x:
-            mask |= 1 << i
+            mask |= bit
+        bit <<= 1
     return mask
 
 
@@ -351,7 +348,7 @@ def _reduce_dict(p, divisors, order):
     """
     key = order.key
     p = dict(p)
-    heap = [(tuple(-k for k in key(e)), e) for e in p]
+    heap = [(tuple(map(neg, key(e))), e) for e in p]
     heapify(heap)
     scale = 1
     moved = {}  # remainder term -> (coeff, scale when it was moved)
@@ -371,7 +368,7 @@ def _reduce_dict(p, divisors, order):
                     scale *= m
                     for t in p:
                         p[t] *= m
-                shift = tuple(a - b for a, b in zip(e, de))
+                shift = tuple(map(sub, e, de))
                 for e2, c2 in dcoeffs.items():
                     if e2 == de:
                         continue
@@ -381,7 +378,7 @@ def _reduce_dict(p, divisors, order):
                     if v:
                         p[tgt] = v
                         if old is None:
-                            heappush(heap, (tuple(-k for k in key(tgt)), tgt))
+                            heappush(heap, (tuple(map(neg, key(tgt))), tgt))
                     elif old is not None:
                         del p[tgt]
                 break
@@ -418,8 +415,8 @@ def _s_terms(a, b, L):
     eb, cb, tb, _ = b
     g = gcd(ca, cb)
     ma, mb = cb // g, ca // g
-    sa = tuple(x - y for x, y in zip(L, ea))
-    sb = tuple(x - y for x, y in zip(L, eb))
+    sa = tuple(map(sub, L, ea))
+    sb = tuple(map(sub, L, eb))
     out = {_exp_mul(e, sa): c * ma for e, c in ta.items()}
     for e, c in tb.items():
         tgt = _exp_mul(e, sb)
@@ -457,7 +454,7 @@ def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX)
                 "to divide every element here"
             )
         c = p[e]
-        shift = tuple(a - b for a, b in zip(e, ed))
+        shift = tuple(map(sub, e, ed))
         factor = c / cd
         q[shift] = factor
         for e2, c2 in d.coeffs.items():
@@ -513,8 +510,10 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     the Gebauer-Moeller update, run once each time an element joins the
     basis: old pairs fall to criterion B, and of the new pairs only one per
     minimal lcm stays (criteria M and F), none when a pair with that lcm
-    has coprime leading monomials. An element whose leading monomial a
-    later one divides forms no more pairs but still reduces. Elements are
+    has coprime leading monomials. Each lead and each pending lcm carries
+    its support mask, so the update rules most candidates in or out by a
+    mask test before comparing exponents. An element whose leading monomial
+    a later one divides forms no more pairs but still reduces. Elements are
     primitive integer term dicts: each remainder is content-normalized as
     it joins the basis, S-polynomials are integer cross-multiples of two
     divisor entries, and each element's divisor entry is built once, when
@@ -529,44 +528,52 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
 
     key = order.key
     lms = []
+    masks = []  # support mask of each lead
     divisors = []  # divisor entries, in basis order
     active = []  # elements that still form pairs: no later lead divides theirs
-    pending = {}  # (i, j) -> lcm of the leads, for i < j
+    pending = {}  # (i, j) -> (lcm of the leads, its support mask), for i < j
     heap = []  # (degree, order key, i, j); a pair no longer pending is skipped
 
     def append(terms):
         entry = _entry(terms, order)
-        de = entry[0]
-        degree = sum(de)
+        de, dmask = entry[0], entry[3]
         new = len(divisors)
-        # criterion B: the new lead divides L but neither lcm with it equals L
-        for (i, j), L in list(pending.items()):
+        # criterion B: the new lead divides L but neither lcm with it equals L;
+        # a mask test settles most pairs before any exponent is compared
+        for (i, j), (L, Lmask) in list(pending.items()):
             if (
-                _exp_divides(de, L)
+                not dmask & ~Lmask
+                and _exp_divides(de, L)
                 and L != _exp_lcm(lms[i], de)
                 and L != _exp_lcm(lms[j], de)
             ):
                 del pending[i, j]
         # new pairs, grouped by lcm: (first member, any member coprime);
-        # leads are coprime exactly when their lcm has the degree of their product
+        # leads are coprime exactly when their supports are disjoint
         groups = {}
         for j in active:
             L = _exp_lcm(lms[j], de)
             first, coprime = groups.get(L, (j, False))
-            groups[L] = (first, coprime or sum(L) == sum(lms[j]) + degree)
+            groups[L] = (first, coprime or not masks[j] & dmask)
         # criterion M keeps the minimal lcms; F keeps one pair of each
         minimal = []
         for L in sorted(groups, key=sum):
-            if not any(_exp_divides(m, L) for m in minimal):
-                minimal.append(L)
-        for L in minimal:
+            Lmask = masks[groups[L][0]] | dmask
+            if not any(
+                not mmask & ~Lmask and _exp_divides(m, L) for m, mmask in minimal
+            ):
+                minimal.append((L, Lmask))
+        for L, Lmask in minimal:
             j, coprime = groups[L]
             if not coprime:
-                pending[j, new] = L
+                pending[j, new] = L, Lmask
                 heappush(heap, (sum(L), key(L), j, new))
-        active[:] = [j for j in active if not _exp_divides(de, lms[j])]
+        active[:] = [
+            j for j in active if dmask & ~masks[j] or not _exp_divides(de, lms[j])
+        ]
         active.append(new)
         lms.append(de)
+        masks.append(dmask)
         divisors.append(entry)
 
     def reduce_and_append(terms):
@@ -580,9 +587,9 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
 
     while heap:
         _, _, i, j = heappop(heap)
-        L = pending.pop((i, j), None)
-        if L is not None:
-            reduce_and_append(_s_terms(divisors[i], divisors[j], L))
+        pair = pending.pop((i, j), None)
+        if pair is not None:
+            reduce_and_append(_s_terms(divisors[i], divisors[j], pair[0]))
 
     return _reduced_from_basis(divisors, ring, order)
 
@@ -721,10 +728,11 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     one_minus_w = Polynomial.constant(ext, 1) - w
     gens = [w * _lift(g, ext) for g in I.generators]
     gens += [one_minus_w * _lift(g, ext) for g in J.generators]
-    basis = buchberger(gens, BlockElimination(1))
+    block = BlockElimination(1)
+    basis = buchberger(gens, block)
     keep = []
     for g in basis:
-        e, _ = g.leading(BlockElimination(1))
+        e, _ = g.leading(block)
         if e[0] == 0:
             if any(e2[0] for e2 in g.coeffs):
                 raise InternalInvariantError(

@@ -80,9 +80,13 @@ class Monomial:
             )
         if any(e < 0 for e in exponents):
             raise ValueError(f"negative exponent in {exponents}")
+        degree = sum(exponents)
+        # a float or Fraction entry makes the sum a non-int
+        if not isinstance(degree, int):
+            raise ValueError(f"non-integer exponent in {exponents}")
         self.ring = ring
         self.exponents = exponents
-        self.degree = sum(exponents)
+        self.degree = degree
 
     @property
     def sort_key(self):

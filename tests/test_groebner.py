@@ -79,6 +79,63 @@ class TestOrders:
                     assert order.key(uw) < order.key(vw)
 
 
+def reference_degrevlex_key(exps):
+    out = [sum(exps)]
+    out.extend(-e for e in reversed(exps))
+    return tuple(out)
+
+
+def reference_block_key(k, exps):
+    head, tail = exps[:k], exps[k:]
+    out = [sum(head)]
+    out.extend(-e for e in reversed(head))
+    out.append(sum(tail))
+    out.extend(-e for e in reversed(tail))
+    return tuple(out)
+
+
+class TestExponentHelpers:
+    """The kernel's exponent helpers, support masks and order keys against
+    their definitions, on seeded exponent tuples in 3 to 8 variables."""
+
+    @staticmethod
+    def pairs():
+        rng = seeded(409)
+        for _ in range(400):
+            n = rng.randint(3, 8)
+            a = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+            b = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+            if rng.random() < 0.25:  # make a divide b now and then
+                b = tuple(x + y for x, y in zip(a, b))
+            yield a, b
+
+    def test_helpers_match_definitions(self):
+        for a, b in self.pairs():
+            assert gb._exp_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+            assert gb._exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
+            assert gb._exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            assert gb._support(a) == sum(1 << i for i, x in enumerate(a) if x)
+
+    def test_masks_agree_with_exponents(self):
+        divisible = coprime = 0
+        for a, b in self.pairs():
+            ma, mb = gb._support(a), gb._support(b)
+            if gb._exp_divides(a, b):
+                divisible += 1
+                assert not ma & ~mb
+            disjoint = not ma & mb
+            coprime += disjoint
+            assert disjoint == (sum(gb._exp_lcm(a, b)) == sum(a) + sum(b))
+        assert divisible and coprime  # both branches were exercised
+
+    def test_keys_match_reference(self):
+        for a, b in self.pairs():
+            for e in (a, b):
+                assert DEGREVLEX.key(e) == reference_degrevlex_key(e)
+                for k in (1, 2, 3):
+                    assert BlockElimination(k).key(e) == reference_block_key(k, e)
+
+
 class TestPolynomialArithmetic:
     def test_str_and_parse_shapes(self, R3):
         p = poly(R3, "x^2*y - 2*x + 1")
@@ -294,7 +351,8 @@ CASES = {"A6": builtin_case_A6, "A7": builtin_case_A7}
 
 class TestPinnedBases:
     """sha256 of repr(groebner_basis()) for the paper's ideals: a change to the
-    pair selection or pruning that alters any basis byte fails here."""
+    pair selection or pruning that alters any basis byte fails here. The
+    number of S-polynomials a fold forms is pinned too."""
 
     @pytest.mark.parametrize("name, n, digest", [
         ("A6", 2, "faac5c18702d80b54973b67f31cf018b4440218b566cfa9dad08d3a13bc5cb7d"),
@@ -315,6 +373,21 @@ class TestPinnedBases:
     def test_colon_by_witness(self, name, digest):
         basis = colon_ideal(CASES[name]()).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, formed", [("A6", 291), ("A7", 298)], ids=["A6", "A7"])
+    def test_s_polynomials_formed_by_the_square_fold(self, name, formed, monkeypatch):
+        # a pair criterion that wrongly keeps a pair still ends at the same
+        # reduced basis, only slower; the count of S-polynomials shows it
+        calls = []
+        s_terms = gb._s_terms
+
+        def counting(*args):
+            calls.append(None)
+            return s_terms(*args)
+
+        monkeypatch.setattr(gb, "_s_terms", counting)
+        prime_power_fold(CASES[name](), 2)
+        assert len(calls) == formed
 
 
 class TestIdealOps:

@@ -1,9 +1,11 @@
 """Monomial and monomial-ideal arithmetic, with brute-force oracles."""
 
+from fractions import Fraction
+
 import pytest
 from conftest import mideal, mono, random_monomial, random_monomial_ideal, seeded
 
-from sympow import MonomialIdeal, Ring, RingMismatchError
+from sympow import Monomial, MonomialIdeal, Ring, RingMismatchError
 
 
 @pytest.fixture
@@ -20,6 +22,15 @@ def naive_minimal(gens):
         if g not in out:
             out.append(g)
     return set(out)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("exps", [(0.5, 0, 0), (Fraction(1, 2), 0, 0)],
+                             ids=["float", "fraction"])
+    def test_non_integer_exponent_is_refused(self, exps):
+        # such a monomial used to be built and print as an empty string
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            Monomial(Ring(("x", "y", "z")), exps)
 
 
 class TestLcmDivides:
