@@ -480,31 +480,50 @@ def _check_polynomials(generators):
     return gens
 
 
-def _reduced_from_basis(divisors, ring, order):
+def _monic(ring, entry):
+    """The monic Fraction polynomial of a divisor entry."""
+    _, dc, terms, _ = entry
+    return Polynomial(ring, {e: Fraction(c, dc) for e, c in terms.items()})
+
+
+def _reduced_entries(divisors, order):
     """Reduced basis, largest lead first, from the divisor entries of a Groebner basis.
 
     Each minimal entry's tail is reduced against all minimal entries: its
     own leading monomial is bigger than every tail term, so never divides one.
-    The element is made monic from the integer entry and the kernel's scale.
+    The lead, at the kernel's scale, rejoins the reduced tail and the sum is
+    made primitive, so each entry's term dict is canonical.
     """
     key = order.key
     minimal = []
     for entry in sorted(divisors, key=lambda d: key(d[0])):
-        if not any(_exp_divides(m[0], entry[0]) for m in minimal):
+        de, emask = entry[0], entry[3]
+        if not any(not m[3] & ~emask and _exp_divides(m[0], de) for m in minimal):
             minimal.append(entry)
     out = []
-    for de, dc, terms, _ in reversed(minimal):
+    for de, dc, terms, dmask in reversed(minimal):
         tail, scale = _reduce_dict(
             {e: c for e, c in terms.items() if e != de}, minimal, order
         )
-        coeffs = {e: Fraction(c, scale * dc) for e, c in tail.items()}
-        coeffs[de] = Fraction(1)
-        out.append(Polynomial(ring, coeffs))
-    return tuple(out)
+        tail[de] = scale * dc
+        terms = _primitive(tail)
+        out.append((de, terms[de], terms, dmask))
+    return out
 
 
 def buchberger(generators, order: MonomialOrder = DEGREVLEX):
-    """Reduced Groebner basis of the ideal the generators span.
+    """Reduced Groebner basis of the ideal the generators span: monic
+    elements, largest leading monomial first."""
+    gens = [g for g in _check_polynomials(generators) if not g.is_zero()]
+    if not gens:
+        return ()
+    for g in gens:
+        check_same_ring(gens[0], g)
+    return tuple(_monic(gens[0].ring, e) for e in _groebner_entries(gens, order))
+
+
+def _groebner_entries(gens, order):
+    """Divisor entries of the reduced basis of nonzero polynomials of one ring.
 
     Pair selection is by smallest lcm (degree first). Pairs are pruned by
     the Gebauer-Moeller update, run once each time an element joins the
@@ -519,13 +538,6 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     divisor entries, and each element's divisor entry is built once, when
     it joins, and reused by every reduction. Termination is Dickson's lemma.
     """
-    gens = [g for g in _check_polynomials(generators) if not g.is_zero()]
-    if not gens:
-        return ()
-    ring = gens[0].ring
-    for g in gens:
-        check_same_ring(gens[0], g)
-
     key = order.key
     lms = []
     masks = []  # support mask of each lead
@@ -591,7 +603,7 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
         if pair is not None:
             reduce_and_append(_s_terms(divisors[i], divisors[j], pair[0]))
 
-    return _reduced_from_basis(divisors, ring, order)
+    return _reduced_entries(divisors, order)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +611,11 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
 
 
 class PolyIdeal:
-    """Generator list plus its reduced degrevlex Groebner basis, computed once,
-    and that basis's divisor entries, built on the first membership query."""
+    """Generator list plus its reduced degrevlex Groebner basis, held as divisor
+    entries, largest lead first. The operation that made the ideal sets it,
+    or Buchberger does on first use."""
 
-    __slots__ = ("ring", "generators", "_basis", "_is_basis", "_divisors")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
@@ -612,19 +625,6 @@ class PolyIdeal:
                 raise RingMismatchError("generator from a different ring")
         self.generators = tuple(g for g in gens if not g.is_zero())
         self._basis = None
-        self._is_basis = False
-        self._divisors = None
-
-    @classmethod
-    def from_basis(cls, ring: Ring, basis) -> PolyIdeal:
-        """The ideal of a degrevlex Groebner basis.
-
-        Its reduced degrevlex basis is derived from the generators on first
-        use, without running Buchberger.
-        """
-        ideal = cls(ring, basis)
-        ideal._is_basis = True
-        return ideal
 
     @classmethod
     def zero(cls, ring: Ring) -> PolyIdeal:
@@ -633,24 +633,20 @@ class PolyIdeal:
     def is_zero(self) -> bool:
         return not self.generators
 
+    def _entries(self):
+        if self._basis is None:
+            self._basis = _groebner_entries(self.generators, DEGREVLEX)
+        return self._basis
+
     def groebner_basis(self):
         """The reduced degrevlex basis; a reduced basis is canonical for its order."""
-        if self._basis is None:
-            if self._is_basis:
-                self._basis = _reduced_from_basis(
-                    _prepare_divisors(self.generators, DEGREVLEX), self.ring, DEGREVLEX
-                )
-            else:
-                self._basis = buchberger(self.generators)
-        return self._basis
+        return tuple(_monic(self.ring, e) for e in self._entries())
 
     def member(self, f: Polynomial) -> bool:
         check_same_ring(f, self)
         if f.is_zero():
             return True
-        if self._divisors is None:
-            self._divisors = _prepare_divisors(self.groebner_basis(), DEGREVLEX)
-        remainder, _ = _reduce_dict(_integer_terms(f.coeffs)[0], self._divisors, DEGREVLEX)
+        remainder, _ = _reduce_dict(_integer_terms(f.coeffs)[0], self._entries(), DEGREVLEX)
         return not remainder
 
     def __str__(self):
@@ -709,16 +705,12 @@ def _lift(f: Polynomial, ext: Ring) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in f.coeffs.items()})
 
 
-def _drop_aux(f: Polynomial, ring: Ring) -> Polynomial:
-    return Polynomial(ring, {e[1:]: c for e, c in f.coeffs.items()})
-
-
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J by elimination: adjoin w, take w*I + (1-w)*J, drop w.
 
-    The w-free part of the reduced block-order basis, in the same order,
-    is the reduced degrevlex basis of the intersection; the result keeps
-    it and has its content-normalized elements as generators.
+    The w-free entries of the reduced block-order basis, in the same order,
+    are the reduced degrevlex basis of the intersection; the result keeps
+    them, and their primitive term dicts are its generators.
     """
     _check_rings(I, J)
     if I.is_zero() or J.is_zero():
@@ -728,19 +720,16 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     one_minus_w = Polynomial.constant(ext, 1) - w
     gens = [w * _lift(g, ext) for g in I.generators]
     gens += [one_minus_w * _lift(g, ext) for g in J.generators]
-    block = BlockElimination(1)
-    basis = buchberger(gens, block)
-    keep = []
-    for g in basis:
-        e, _ = g.leading(block)
-        if e[0] == 0:
-            if any(e2[0] for e2 in g.coeffs):
+    basis = []
+    for de, dc, terms, dmask in _groebner_entries(gens, BlockElimination(1)):
+        if de[0] == 0:
+            if any(e[0] for e in terms):
                 raise InternalInvariantError(
                     "w-free leading monomial but a w-bearing tail term"
                 )
-            keep.append(_drop_aux(g, I.ring))
-    result = PolyIdeal(I.ring, [g.content_normalized() for g in keep])
-    result._basis = tuple(keep)
+            basis.append((de[1:], dc, {e[1:]: c for e, c in terms.items()}, dmask >> 1))
+    result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
+    result._basis = basis
     return result
 
 
@@ -750,12 +739,16 @@ def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
         raise ValueError("cannot take a colon by the zero polynomial")
     check_same_ring(f, I)
     inter = ideal_intersect(I, PolyIdeal(I.ring, (f,)))
-    gens = [divide_exact(g, f) for g in inter.generators]
+    result = PolyIdeal(I.ring, [divide_exact(g, f) for g in inter.generators])
     # dividing a Groebner basis of I ∩ (f) by f keeps it a Groebner basis
-    return PolyIdeal.from_basis(I.ring, gens)
+    result._basis = _reduced_entries(
+        _prepare_divisors(result.generators, DEGREVLEX), DEGREVLEX
+    )
+    return result
 
 
 def ideal_equals(I: PolyIdeal, J: PolyIdeal) -> bool:
-    """The reduced degrevlex bases coincide exactly."""
+    """The reduced degrevlex bases coincide exactly. Their entries are
+    canonical: primitive, lex-leading term positive, largest lead first."""
     _check_rings(I, J)
-    return I.groebner_basis() == J.groebner_basis()
+    return I._entries() == J._entries()

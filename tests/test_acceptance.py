@@ -2,10 +2,11 @@
 
 Each test prints one ``ACCEPTANCE <n> ... PASS`` line (visible with
 ``pytest -s`` or in captured output on failure). A module fixture wraps
-``buchberger``, the ``from_basis`` path of ``PolyIdeal.groebner_basis`` and
-``ideal_intersect`` (whose result carries its basis) so that every Groebner
-basis criteria 3-6 compute is recorded; criterion 8 re-verifies each record
-with the test oracle in ``basis_oracle``.
+the Buchberger kernel ``_groebner_entries`` (every run of it, public or
+internal), ``ideal_intersect`` and ``ideal_quotient`` (whose results carry
+their bases) so that every Groebner basis criteria 3-6 compute is recorded;
+criterion 8 re-verifies each record with the test oracle in
+``basis_oracle``.
 """
 
 import json
@@ -62,35 +63,31 @@ def basis_log():
     cases.case_ex31.cache_clear()
     cases.case_ex32.cache_clear()
     log = []
-    run_buchberger = gb.buchberger
-    groebner_basis = gb.PolyIdeal.groebner_basis
+    run_kernel = gb._groebner_entries
     run_intersect = gb.ideal_intersect
+    run_quotient = gb.ideal_quotient
 
-    def recording_buchberger(generators, order=DEGREVLEX):
+    def recording_kernel(generators, order):
         generators = tuple(generators)
-        basis = run_buchberger(generators, order)
+        entries = run_kernel(generators, order)
+        basis = tuple(gb._monic(generators[0].ring, e) for e in entries) if entries else ()
         log.append(("buchberger", generators, basis, order))
-        return basis
+        return entries
 
-    def recording_groebner_basis(self):
-        # the from_basis path derives its reduced basis without Buchberger
-        derived = self._is_basis and self._basis is None
-        basis = groebner_basis(self)
-        if derived:
-            log.append(("from_basis", self.generators, basis, DEGREVLEX))
-        return basis
+    def recording(path, run):
+        # the result holds its reduced degrevlex basis, handed over, not recomputed
+        def recorded(*args):
+            result = run(*args)
+            log.append((path, result.generators, result.groebner_basis(), DEGREVLEX))
+            return result
 
-    def recording_intersect(I, J):
-        # the result holds the w-free part of the block-order basis
-        result = run_intersect(I, J)
-        log.append(("ideal_intersect", result.generators, result.groebner_basis(), DEGREVLEX))
-        return result
+        return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gb, "buchberger", recording_buchberger)
-        mp.setattr(gb.PolyIdeal, "groebner_basis", recording_groebner_basis)
-        mp.setattr(gb, "ideal_intersect", recording_intersect)
-        mp.setattr(cx, "ideal_intersect", recording_intersect)
+        mp.setattr(gb, "_groebner_entries", recording_kernel)
+        for module in (gb, cx):
+            mp.setattr(module, "ideal_intersect", recording("ideal_intersect", run_intersect))
+            mp.setattr(module, "ideal_quotient", recording("ideal_quotient", run_quotient))
         yield log
 
 
@@ -217,7 +214,7 @@ def test_criterion_8_groebner_self_checks(basis_log):
     # bases recorded while criteria 3-6 ran
     recorded = list(basis_log)
     paths = [path for path, *_ in recorded]
-    assert {"buchberger", "from_basis", "ideal_intersect"} <= set(paths), (
+    assert {"buchberger", "ideal_quotient", "ideal_intersect"} <= set(paths), (
         "criteria 3-6 must run before this check"
     )
     for _, generators, basis, order in recorded:
@@ -243,7 +240,7 @@ def test_criterion_8_groebner_self_checks(basis_log):
     corpora_elapsed = time.monotonic() - t0
     assert corpora_elapsed < 60.0
     report(8, f"{len(recorded)} recorded bases re-verified "
-              f"({paths.count('from_basis')} from a known basis, "
+              f"({paths.count('ideal_quotient')} from a colon, "
               f"{paths.count('ideal_intersect')} from an intersection); random corpus "
               f"and 50 elimination-vs-lcm pairs", corpora_elapsed)
 

@@ -374,20 +374,28 @@ class TestPinnedBases:
         basis = colon_ideal(CASES[name]()).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("name, formed", [("A6", 291), ("A7", 298)], ids=["A6", "A7"])
-    def test_s_polynomials_formed_by_the_square_fold(self, name, formed, monkeypatch):
+    @pytest.mark.parametrize("name, formed, lcms", [("A6", 291, 1426), ("A7", 298, 1497)],
+                             ids=["A6", "A7"])
+    def test_s_polynomials_formed_by_the_square_fold(self, name, formed, lcms, monkeypatch):
         # a pair criterion that wrongly keeps a pair still ends at the same
-        # reduced basis, only slower; the count of S-polynomials shows it
-        calls = []
-        s_terms = gb._s_terms
+        # reduced basis, only slower; the count of S-polynomials shows it.
+        # The lcms count the pair candidates, so a stale element that the
+        # active filter should have dropped shows there too
+        calls = {"_s_terms": 0, "_exp_lcm": 0}
 
-        def counting(*args):
-            calls.append(None)
-            return s_terms(*args)
+        def counting(name):
+            run = getattr(gb, name)
 
-        monkeypatch.setattr(gb, "_s_terms", counting)
+            def counted(*args):
+                calls[name] += 1
+                return run(*args)
+
+            monkeypatch.setattr(gb, name, counted)
+
+        counting("_s_terms")
+        counting("_exp_lcm")
         prime_power_fold(CASES[name](), 2)
-        assert len(calls) == formed
+        assert calls == {"_s_terms": formed, "_exp_lcm": lcms}
 
 
 class TestIdealOps:
@@ -414,15 +422,25 @@ class TestIdealOps:
         case = builtin_case_A6()
         assert not case.square().member(case.witness)
 
-    def test_from_basis_reduces_without_buchberger(self, R3, monkeypatch):
-        basis = buchberger(pideal(R3, "x^2 - y", "x*y - z").generators)
-        scaled = [3 * g for g in basis]  # still a basis, not reduced
+    def test_quotient_hands_over_its_basis(self, R3, monkeypatch):
+        I = pideal(R3, "x^2 - y", "x*y - z", "y^2*z")
+        x = poly(R3, "x")
+        colon = ideal_quotient(I, x)
+        scaled = ideal_quotient(I, -2 * x)
+        bigger = ideal_quotient(I, x * x)  # also holds y*z
+        basis = buchberger(colon.generators)
+        assert colon.generators != basis  # the generators are not yet reduced
 
         def refuse(*args, **kwargs):
-            raise AssertionError("buchberger ran on a known basis")
+            raise AssertionError("Buchberger ran on a handed-over basis")
 
         monkeypatch.setattr(gb, "buchberger", refuse)
-        assert PolyIdeal.from_basis(R3, scaled).groebner_basis() == basis
+        monkeypatch.setattr(gb, "_groebner_entries", refuse)
+        assert colon.groebner_basis() == basis
+        assert all(colon.member(g) for g in basis)
+        assert not colon.member(x)
+        assert ideal_equals(colon, scaled)
+        assert not ideal_equals(colon, bigger)
 
 
 class TestIntersect:
