@@ -4,9 +4,9 @@ Sparse polynomials with Fraction coefficients, monomial orders
 (degrevlex, lex, block elimination), multivariate division, Buchberger
 with the Gebauer-Moeller pair update, reduced bases, and the ideal
 operations built on them: membership, sum, product, power, intersection
-by elimination, colon by a polynomial, equality. Division runs on
-integer term dicts inside the module; public polynomials keep Fraction
-coefficients.
+(by lcms for monomial ideals, by elimination otherwise), colon by a
+polynomial, equality. Division runs on integer term dicts inside the
+module; public polynomials keep Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -706,15 +706,26 @@ def _lift(f: Polynomial, ext: Ring) -> Polynomial:
 
 
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    """I ∩ J by elimination: adjoin w, take w*I + (1-w)*J, drop w.
-
-    The w-free entries of the reduced block-order basis, in the same order,
-    are the reduced degrevlex basis of the intersection; the result keeps
-    them, and their primitive term dicts are its generators.
-    """
+    """I ∩ J. When every generator of both ideals has one term, the pairwise
+    lcms span it (Miller-Sturmfels, Prop. 1.14) and their minimal monic
+    entries are its reduced degrevlex basis; any other input is eliminated."""
     _check_rings(I, J)
     if I.is_zero() or J.is_zero():
         return PolyIdeal.zero(I.ring)
+    if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
+        return _eliminate(I, J)
+    lcms = {_exp_lcm(*g.coeffs, *h.coeffs) for g in I.generators for h in J.generators}
+    basis = _reduced_entries([_entry({L: 1}, DEGREVLEX) for L in lcms], DEGREVLEX)
+    result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
+    result._basis = basis
+    return result
+
+
+def _eliminate(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
+    """I ∩ J of nonzero ideals by elimination: adjoin w, take w*I + (1-w)*J,
+    drop w. The w-free entries of the reduced block-order basis, in the same
+    order, are the reduced degrevlex basis of I ∩ J; the result keeps them,
+    and their primitive term dicts are its generators."""
     ext = _extended_ring(I.ring)
     w = Polynomial.variable(ext, AUX_VARIABLE)
     one_minus_w = Polynomial.constant(ext, 1) - w

@@ -234,15 +234,17 @@ def test_criterion_8_groebner_self_checks(basis_log):
             continue
         pk = PolyIdeal(K.ring, [Polynomial.from_monomial(g) for g in K.generators])
         pl = PolyIdeal(L.ring, [Polynomial.from_monomial(g) for g in L.generators])
-        by_elimination = monomial_ideal_from_poly(ideal_intersect(pk, pl))
-        assert by_elimination == K.intersect(L)  # exact match with the lcm formula
+        # exact match with the monomial engine's lcm formula, by elimination
+        # and by the dispatching intersection
+        for intersect in (gb._eliminate, ideal_intersect):
+            assert monomial_ideal_from_poly(intersect(pk, pl)) == K.intersect(L)
         checked += 1
     corpora_elapsed = time.monotonic() - t0
     assert corpora_elapsed < 60.0
     report(8, f"{len(recorded)} recorded bases re-verified "
               f"({paths.count('ideal_quotient')} from a colon, "
               f"{paths.count('ideal_intersect')} from an intersection); random corpus "
-              f"and 50 elimination-vs-lcm pairs", corpora_elapsed)
+              f"and 50 pairs, elimination and dispatch vs lcm", corpora_elapsed)
 
 
 def test_criterion_9_cli_contract(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """CLI contract: flags, report shapes, JSON schemas, exit codes."""
 
+import hashlib
 import json
 import re
 
@@ -296,16 +297,25 @@ class TestVerifyPaper:
                   for c in json.loads(capsys.readouterr().out)["cases"][0]["claims"]}
         assert claims["the 12 derived primes have height 2 (generated by a regular sequence)"]
 
-    def test_repeated_runs_agree(self, capsys):
-        def run():
-            assert main(["verify-paper", "--case", "all", "--format", "json"]) == EXIT_OK
-            payload = json.loads(capsys.readouterr().out)
-            for case in payload["cases"]:
-                for claim in case["claims"]:
-                    del claim["seconds"]
-            return payload
+    @staticmethod
+    def report_without_timings(capsys):
+        assert main(["verify-paper", "--case", "all", "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        for case in payload["cases"]:
+            for claim in case["claims"]:
+                del claim["seconds"]
+        return payload
 
-        assert run() == run()
+    def test_repeated_runs_agree(self, capsys):
+        assert self.report_without_timings(capsys) == self.report_without_timings(capsys)
+
+    def test_report_is_pinned(self, capsys):
+        # every claim, pass flag and detail string of the full report, so a
+        # kernel change that alters any computed ideal or its printing fails
+        text = json.dumps(self.report_without_timings(capsys), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8fcf9175df8acf9bd61baa2c5328072864c306c6867bdc40c0736392eb580b68"
+        )
 
     def test_ex32_decomposition_claim_is_independent(self, capsys, monkeypatch):
         import sympow.decomp as decomp

@@ -111,23 +111,25 @@ class TestRadicalIntersection:
         assert verify_radical_intersection(builtin_case_A6())
 
     def test_monomial_primes_agree_with_lcm_engine(self):
-        # ten of the twelve primes are monomial; fold them through both
-        # engines and compare exactly
-        from sympow import MonomialIdeal
+        # ten of the twelve primes are monomial; fold them through the
+        # monomial engine, through elimination and through the dispatching
+        # ideal_intersect, and compare exactly
+        import sympow.groebner as gb
         from sympow.ideal_files import monomial_ideal_from_poly
 
         case = builtin_case_A6()
-        monomial_primes = []
-        kernel_fold = None
-        for p in case.primes:
-            if all(g.as_monomial() for g in p.generators):
-                monomial_primes.append(monomial_ideal_from_poly(p))
-                kernel_fold = p if kernel_fold is None else ideal_intersect(kernel_fold, p)
+        monomial_primes = [
+            p for p in case.primes if all(g.as_monomial() for g in p.generators)
+        ]
         assert len(monomial_primes) == 10
-        by_lcm = monomial_primes[0]
+        by_lcm = monomial_ideal_from_poly(monomial_primes[0])
         for q in monomial_primes[1:]:
-            by_lcm = by_lcm.intersect(q)
-        assert monomial_ideal_from_poly(kernel_fold) == by_lcm
+            by_lcm = by_lcm.intersect(monomial_ideal_from_poly(q))
+        for intersect in (gb._eliminate, ideal_intersect):
+            kernel_fold = monomial_primes[0]
+            for q in monomial_primes[1:]:
+                kernel_fold = intersect(kernel_fold, q)
+            assert monomial_ideal_from_poly(kernel_fold) == by_lcm
 
     def test_seven_variable_derived_primes(self):
         assert verify_radical_intersection(builtin_case_A7())

@@ -338,11 +338,11 @@ class TestBuchberger:
         assert PolyIdeal(R3, [Polynomial.zero(R3), x]).generators == (x,)
 
 
-def prime_power_fold(case, n):
+def prime_power_fold(case, n, intersect=ideal_intersect):
     """The intersection of the case's primes' n-th powers, in the case's order."""
     inter = ideal_power(case.primes[0], n)
     for p in case.primes[1:]:
-        inter = ideal_intersect(inter, ideal_power(p, n))
+        inter = intersect(inter, ideal_power(p, n))
     return inter
 
 
@@ -374,13 +374,20 @@ class TestPinnedBases:
         basis = colon_ideal(CASES[name]()).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("name, formed, lcms", [("A6", 291, 1426), ("A7", 298, 1497)],
-                             ids=["A6", "A7"])
-    def test_s_polynomials_formed_by_the_square_fold(self, name, formed, lcms, monkeypatch):
+    @pytest.mark.parametrize("name, fold, formed, lcms", [
+        ("A6", "_eliminate", 291, 1426),
+        ("A7", "_eliminate", 298, 1497),
+        ("A6", "ideal_intersect", 81, 599),
+        ("A7", "ideal_intersect", 30, 353),
+    ], ids=["A6", "A7", "A6-dispatch", "A7-dispatch"])
+    def test_s_polynomials_formed_by_the_square_fold(self, name, fold, formed, lcms,
+                                                     monkeypatch):
         # a pair criterion that wrongly keeps a pair still ends at the same
         # reduced basis, only slower; the count of S-polynomials shows it.
         # The lcms count the pair candidates, so a stale element that the
-        # active filter should have dropped shows there too
+        # active filter should have dropped shows there too. Folding through
+        # elimination alone runs the kernel on every step; the dispatching
+        # fold intersects the monomial primes by lcms, which are counted too
         calls = {"_s_terms": 0, "_exp_lcm": 0}
 
         def counting(name):
@@ -394,7 +401,7 @@ class TestPinnedBases:
 
         counting("_s_terms")
         counting("_exp_lcm")
-        prime_power_fold(CASES[name](), 2)
+        prime_power_fold(CASES[name](), 2, getattr(gb, fold))
         assert calls == {"_s_terms": formed, "_exp_lcm": lcms}
 
 
@@ -466,11 +473,27 @@ class TestIntersect:
             L = random_monomial_ideal(rng, max_vars=5, max_gens=3, max_degree=4)
             if K.ring != L.ring or K.is_zero() or L.is_zero():
                 continue
-            by_kernel = ideal_intersect(poly_ideal_of(K), poly_ideal_of(L))
-            assert monomial_ideal_from_poly(by_kernel) == K.intersect(L)
+            for intersect in (gb._eliminate, ideal_intersect):
+                by_kernel = intersect(poly_ideal_of(K), poly_ideal_of(L))
+                assert monomial_ideal_from_poly(by_kernel) == K.intersect(L)
+
+    def test_monomial_inputs_skip_the_kernel(self, R3, monkeypatch):
+        runs = []
+        run = gb._groebner_entries
+
+        def counted(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(gb, "_groebner_entries", counted)
+        ideal_intersect(pideal(R3, "x^2", "3*y*z"), pideal(R3, "x*y", "z^3", "1"))
+        assert not runs
+        ideal_intersect(pideal(R3, "x^2", "y*z"), pideal(R3, "x*y - z^2"))
+        assert runs
 
     def test_handed_over_basis_is_reduced(self):
-        # every step of the A6 fold at n = 2 keeps the w-free block-order basis
+        # every step of the A6 fold at n = 2 hands over a reduced basis: the
+        # minimal lcms while both sides are monomial, the w-free entries after
         case = builtin_case_A6()
         inter = ideal_power(case.primes[0], 2)
         for p in case.primes[1:]:

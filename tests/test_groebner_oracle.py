@@ -1,5 +1,6 @@
 """Differential tests against sympy (reduced degrevlex bases, intersections),
-and the basis oracle on inputs that stress the pair pruning of ``buchberger``."""
+the lcm intersection of monomial ideals against elimination, and the basis
+oracle on inputs that stress the pair pruning of ``buchberger``."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from basis_oracle import verify_basis  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import sympow.groebner as gb  # noqa: E402
 from sympow import (  # noqa: E402
     DEGREVLEX,
     LEX,
@@ -47,6 +49,19 @@ def small_ideal_pairs(draw):
     """(number of variables, I's and J's term dicts): <= 2 generators, degree <= 2."""
     nvars = draw(st.integers(1, 3))
     gens = generator_lists(nvars, max_gens=2, max_degree=2)
+    return nvars, draw(gens), draw(gens)
+
+
+@st.composite
+def monomial_ideal_pairs(draw):
+    """(number of variables, I's and J's term dicts): one term per generator,
+    a nonzero coefficient, exponents <= 3, up to 4 generators each."""
+    nvars = draw(st.integers(1, 3))
+    term = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-4, 4).filter(bool),
+        min_size=1, max_size=1,
+    )
+    gens = st.lists(term, min_size=1, max_size=4)
     return nvars, draw(gens), draw(gens)
 
 
@@ -139,3 +154,25 @@ def test_pair_pruning_keeps_the_basis(order, ideal):
     ring = Ring(("x", "y", "z", "w")[:nvars])
     polys = [Polynomial(ring, g) for g in gens]
     verify_basis(polys, buchberger(polys, order), order)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(monomial_ideal_pairs())
+# a non-unit coefficient: 3x^2 against xy
+@example(pair=(2, [{(2, 0): 3}], [{(1, 1): 1}]))
+# the unit ideal: a constant generator, on one side and on both
+@example(pair=(2, [{(0, 0): -2}], [{(1, 0): 1}, {(0, 3): 5}]))
+@example(pair=(1, [{(0,): 1}], [{(0,): 7}]))
+# repeated generators, and one generator dividing another
+@example(pair=(3, [{(1, 0, 0): 1}, {(1, 0, 0): 1}, {(2, 1, 0): 2}],
+               [{(0, 1, 0): 1}, {(0, 2, 1): -1}, {(0, 1, 0): 3}]))
+def test_lcm_intersection_matches_elimination(pair):
+    nvars, I_gens, J_gens = pair
+    ring = Ring(NAMES[:nvars])
+    I = PolyIdeal(ring, [Polynomial(ring, g) for g in I_gens])
+    J = PolyIdeal(ring, [Polynomial(ring, g) for g in J_gens])
+    by_lcm = ideal_intersect(I, J)
+    by_elimination = gb._eliminate(I, J)
+    assert by_lcm._basis == by_elimination._basis
+    assert by_lcm.generators == by_elimination.generators
+    assert str(by_lcm) == str(by_elimination)
