@@ -83,32 +83,26 @@ class GrowthSequence:
     slope_estimate: Fraction | None
     is_linear_within: bool
     slack: int
-    complete: bool
+    complete: bool  # always true until a budget stop can cut a sequence short
 
 
 def degree_sequence(I: MonomialIdeal, N: int, slack: int = 0) -> GrowthSequence:
     """Degrees of the symbolic powers up to N.
 
     Cost grows quickly with N (each entry intersects n-th powers of all
-    primes); intended for small inputs. An entry that fails a precondition
-    (a ValueError) aborts the loop and flags the partial sequence
-    incomplete; any other error propagates.
+    primes); intended for small inputs. The preconditions of
+    ``symbolic_power`` depend on I alone, so an input that fails one (the
+    zero or the unit ideal) raises its ValueError at n = 1, and every
+    sequence returned is complete.
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    entries = []
-    complete = True
-    for n in range(1, N + 1):
-        try:
-            sym = symbolic_power(I, n)
-        except ValueError:
-            complete = False
-            break
-        entries.append((n, sym.degree_stats().max_gen_degree))
+    entries = [(n, symbolic_power(I, n).degree_stats().max_gen_degree)
+               for n in range(1, N + 1)]
     slope = None
     linear = False
     if entries:
         slope = Fraction(sum(n * d for n, d in entries), sum(n * n for n, _ in entries))
         d1 = entries[0][1]
         linear = max(abs(d - n * d1) for n, d in entries) <= slack
-    return GrowthSequence(tuple(entries), slope, linear, slack, complete)
+    return GrowthSequence(tuple(entries), slope, linear, slack, True)

@@ -252,29 +252,30 @@ def _claims_ex32():
 
 def _claims_lemma41():
     case = cx.builtin_case_A6()
-    colon = cx.colon_ideal(case)
+    colon = cx.colon_ideal(case, case.witness)
     yield ("(M^2 : f) = (x, y, z)", ideal_equals(colon, case.expected_colon),
            "basis: " + ", ".join(str(g) for g in colon.groebner_basis()))
     yield ("the 12 listed primes intersect to M (M is radical)",
-           cx.verify_radical_intersection(case), "")
+           ideal_equals(cx.symbolic_power_from_primes(case.primes, 1), case.ideal), "")
     yield ("all 12 primes have height 2 (generated by a regular sequence)",
-           cx.verify_prime_heights(case), "(g1) : g2 = (g1) for each prime (g1, g2)")
+           all(map(cx.is_regular_pair, case.primes)), "(g1) : g2 = (g1) for each prime (g1, g2)")
 
 
 def _claims_lemma42(progress):
     case = cx.builtin_case_A6()
     yield ("every generator of M^2 + (f) lies in every squared prime",
-           cx.verify_symbolic_square_containment(case), "")
-    ok = cx.verify_symbolic_square(case, progress=progress)
-    yield ("intersection of the 12 squared primes equals M^2 + (f)", ok, "")
+           cx.verify_symbolic_square_containment(case, case.witness), "")
+    square = cx.symbolic_power_from_primes(case.primes, 2, progress)
+    yield ("intersection of the 12 squared primes equals M^2 + (f)",
+           ideal_equals(square, cx.symbolic_square_generators(case, case.witness)), "")
 
 
 def _claims_ex43():
     case = cx.builtin_case_A6()
-    yield ("f is not in M^2", cx.witness_not_in_square(case), "")
+    yield ("f is not in M^2", not case.square().member(case.witness), "")
     deg = case.witness.total_degree()
     yield ("deg f = 9", deg == case.expected_witness_degree, f"deg f = {deg}")
-    rep = cx.degree_violation_report(case)
+    rep = cx.degree_violation_report(case, case.witness)
     yield ("d(M^(2)) = 9 > 8 = 2*4: the D*n bound fails at n = 2",
            not rep.satisfied and rep.d_in == 9 and rep.bound == 8,
            f"d = {rep.d_in}, bound = {rep.bound}")
@@ -282,30 +283,31 @@ def _claims_ex43():
 
 def _claims_ex44():
     case = cx.builtin_case_A7()
-    chosen = None
+    chosen = f = None
     details = []
-    for which in ("recorded", "alternate"):
-        ok = cx.verify_colon(case, which)
-        f = case.pick_witness(which)
-        details.append(f"{which} witness {f}: {'colon = (x, y, z)' if ok else 'colon differs'}")
+    for which, candidate in (("recorded", case.witness), ("alternate", case.witness_alt)):
+        ok = ideal_equals(cx.colon_ideal(case, candidate), case.expected_colon)
+        details.append(f"{which} witness {candidate}: {'colon = (x, y, z)' if ok else 'colon differs'}")
         if ok and chosen is None:
-            chosen = which
+            chosen, f = which, candidate
     yield ("(I^2 : f) = (x, y, z) for at least one witness candidate",
            chosen is not None,
            f"chosen witness: {chosen}; " + "; ".join(details))
     if chosen is not None:
-        deg = case.pick_witness(chosen).total_degree()
+        deg = f.total_degree()
         yield ("the working witness has degree 9", deg == 9, f"deg = {deg}")
-        rep = cx.degree_violation_report(case, chosen)
+        rep = cx.degree_violation_report(case, f)
         yield ("d(I^(2)) = 9 > 8 = 2*4: the D*n bound fails at n = 2",
                not rep.satisfied and rep.d_in == 9 and rep.bound == 8,
                f"d = {rep.d_in}, bound = {rep.bound}")
         yield ("intersection of the 12 squared primes equals I^2 + (f)",
-               cx.verify_symbolic_square(case, chosen), "")
+               ideal_equals(cx.symbolic_power_from_primes(case.primes, 2),
+                            cx.symbolic_square_generators(case, f)), "")
     yield ("the derived height-2 primes intersect to I (I is radical)",
-           cx.verify_radical_intersection(case), "derived prime list, 12 entries")
+           ideal_equals(cx.symbolic_power_from_primes(case.primes, 1), case.ideal),
+           "derived prime list, 12 entries")
     yield ("the 12 derived primes have height 2 (generated by a regular sequence)",
-           cx.verify_prime_heights(case), "(g1) : g2 = (g1) for each prime (g1, g2)")
+           all(map(cx.is_regular_pair, case.primes)), "(g1) : g2 = (g1) for each prime (g1, g2)")
 
 
 _EX44_NOTES = (

@@ -7,7 +7,7 @@ so f is a new minimal generator of the symbolic square and the naive
 
 The seven-variable case ships two witness candidates: the recorded one,
 xyzabcd*(ac - bd), and the alternate xyzabcd*(ab - cd) that matches the
-binomial inside the ideal itself. ``verify_colon`` runs either.
+binomial inside the ideal itself. ``colon_ideal`` takes either.
 
 A case is a frozen value, built afresh on every call, and every helper
 computes its ideal on every call: nothing outlives the call that made it.
@@ -45,15 +45,6 @@ class CounterexampleCase:
 
     def square(self) -> PolyIdeal:
         return ideal_power(self.ideal, 2)
-
-    def pick_witness(self, which: str = "recorded") -> Polynomial:
-        if which == "recorded":
-            return self.witness
-        if which == "alternate":
-            if self.witness_alt is None:
-                raise ValueError(f"case {self.name} has no alternate witness")
-            return self.witness_alt
-        raise ValueError(f"unknown witness selector {which!r}")
 
 
 def builtin_case_A6() -> CounterexampleCase:
@@ -95,7 +86,7 @@ def builtin_case_A7() -> CounterexampleCase:
     over I picks one irreducible factor from each generator, and pruning
     the resulting family to its minimal members leaves eleven
     variable-pair primes plus (x, ab-cd).
-    ``verify_radical_intersection`` checks the list against I.
+    The ``verify-paper`` claims check that the list intersects to I.
     """
     R = Ring(("x", "y", "z", "a", "b", "c", "d"))
     x, y, z, a, b, c, d = (Polynomial.variable(R, v) for v in R.variables)
@@ -130,13 +121,9 @@ def builtin_case_A7() -> CounterexampleCase:
     )
 
 
-def colon_ideal(case: CounterexampleCase, witness: str = "recorded") -> PolyIdeal:
-    return ideal_quotient(case.square(), case.pick_witness(witness))
-
-
-def verify_colon(case: CounterexampleCase, witness: str = "recorded") -> bool:
-    """(I^2 : f) equals the expected colon ideal (x, y, z)."""
-    return ideal_equals(colon_ideal(case, witness), case.expected_colon)
+def colon_ideal(case: CounterexampleCase, f: Polynomial) -> PolyIdeal:
+    """(I^2 : f); the claims compare it with the expected colon (x, y, z)."""
+    return ideal_quotient(case.square(), f)
 
 
 def is_regular_pair(p: PolyIdeal) -> bool:
@@ -151,70 +138,48 @@ def is_regular_pair(p: PolyIdeal) -> bool:
     return ideal_equals(ideal_quotient(principal, g2), principal)
 
 
-def verify_prime_heights(case: CounterexampleCase) -> bool:
-    """Every listed prime is generated by a regular pair, so has height 2."""
-    return all(is_regular_pair(p) for p in case.primes)
+def symbolic_power_from_primes(primes, n: int, progress=None) -> PolyIdeal:
+    """∩ P^n over the primes, folded in list order: I^(n) when they are the
+    minimal primes of a radical I, each generated by a regular sequence.
 
-
-def _intersect_all(ideals, progress=None):
-    """Fold pairwise intersection over the ideals in list order."""
-    inter = ideals[0]
-    for i, J in enumerate(ideals[1:], start=2):
-        inter = ideal_intersect(inter, J)
+    The order sets only the cost. ``ideal_intersect`` intersects ideals
+    spanned by monomials by lcms and eliminates (``_eliminate``) any other
+    pair, so primes spanned by monomials must come first; then only the
+    rest go through ``_eliminate``. The built-in cases list them that way.
+    """
+    primes = list(primes)
+    if not primes:
+        raise ValueError("need at least one prime")
+    if n < 1:
+        raise ValueError("symbolic powers need n >= 1")
+    inter = ideal_power(primes[0], n)
+    for i, P in enumerate(primes[1:], start=2):
+        inter = ideal_intersect(inter, ideal_power(P, n))
         if progress:
             progress(
-                f"intersected {i}/{len(ideals)} ideals "
+                f"intersected {i}/{len(primes)} ideals "
                 f"({len(inter.generators)} generators so far)"
             )
     return inter
 
 
-def verify_radical_intersection(case: CounterexampleCase) -> bool:
-    """The intersection of the listed primes is I itself."""
-    return ideal_equals(_intersect_all(case.primes), case.ideal)
-
-
-def squared_prime(case: CounterexampleCase, i: int) -> PolyIdeal:
-    return ideal_power(case.primes[i], 2)
-
-
-def symbolic_square_generators(case: CounterexampleCase, witness: str = "recorded") -> PolyIdeal:
+def symbolic_square_generators(case: CounterexampleCase, f: Polynomial) -> PolyIdeal:
     """I^2 + (f), the claimed generator presentation of the symbolic square."""
-    f = case.pick_witness(witness)
     return ideal_sum(case.square(), PolyIdeal(case.ring, (f,)))
 
 
-def verify_symbolic_square_containment(case: CounterexampleCase, witness: str = "recorded") -> bool:
+def verify_symbolic_square_containment(case: CounterexampleCase, f: Polynomial) -> bool:
     """Cheap half: every generator of I^2 + (f) lies in every squared prime."""
-    target = symbolic_square_generators(case, witness)
-    for i in range(len(case.primes)):
-        sq = squared_prime(case, i)
+    target = symbolic_square_generators(case, f)
+    for p in case.primes:
+        sq = ideal_power(p, 2)
         if not all(sq.member(g) for g in target.generators):
             return False
     return True
 
 
-def intersection_of_squared_primes(case: CounterexampleCase, progress=None) -> PolyIdeal:
-    """Fold the squared primes, in the case's prime order, through pairwise intersection."""
-    return _intersect_all(
-        [squared_prime(case, i) for i in range(len(case.primes))], progress
-    )
-
-
-def verify_symbolic_square(
-    case: CounterexampleCase, witness: str = "recorded", progress=None
-) -> bool:
-    """The intersection of the squared primes equals I^2 + (f)."""
-    inter = intersection_of_squared_primes(case, progress=progress)
-    return ideal_equals(inter, symbolic_square_generators(case, witness))
-
-
-def witness_not_in_square(case: CounterexampleCase, witness: str = "recorded") -> bool:
-    return not case.square().member(case.pick_witness(witness))
-
-
-def degree_violation_report(case: CounterexampleCase, witness: str = "recorded") -> BoundReport:
+def degree_violation_report(case: CounterexampleCase, f: Polynomial) -> BoundReport:
     """Feed d(I^2 + (f)) to the D*n bound at n = 2; the report flags violation."""
-    target = symbolic_square_generators(case, witness)
+    target = symbolic_square_generators(case, f)
     d = max(g.total_degree() for g in target.generators)
     return BoundReport(BOUND_HUNEKE, 2, d, 2 * case.generator_degree)

@@ -697,7 +697,7 @@ def ideal_power(I: PolyIdeal, n: int) -> PolyIdeal:
 
 def _extended_ring(ring: Ring) -> Ring:
     if AUX_VARIABLE in ring.variables:
-        raise InternalInvariantError("the auxiliary variable is already in use")
+        raise ValueError(f"the variable name {AUX_VARIABLE!r} is reserved for elimination")
     return Ring((AUX_VARIABLE,) + ring.variables)
 
 

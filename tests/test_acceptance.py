@@ -32,6 +32,7 @@ from sympow import (
     Polynomial,
     bound_report,
     buchberger,
+    ideal_equals,
     ideal_intersect,
     lcm_bound,
     minimal_variable_primes,
@@ -44,11 +45,11 @@ from sympow.cli import main
 from sympow.counterexamples import (
     builtin_case_A6,
     builtin_case_A7,
+    colon_ideal,
     degree_violation_report,
-    verify_colon,
-    verify_symbolic_square,
+    symbolic_power_from_primes,
+    symbolic_square_generators,
     verify_symbolic_square_containment,
-    witness_not_in_square,
 )
 from sympow.ideal_files import format_generators, monomial_ideal_from_poly, parse_ideal_file
 from sympow.schemas import BOUNDS_SCHEMA, GROWTH_SCHEMA, SYMPOW_SCHEMA, VERIFY_SCHEMA
@@ -141,7 +142,8 @@ def test_criterion_2_terai_reproduction():
 def test_criterion_3_colon_equality():
     t0 = time.monotonic()
     case = builtin_case_A6()
-    assert verify_colon(case)  # (M^2 : f) = (x, y, z), exact ideal equality
+    # (M^2 : f) = (x, y, z), exact ideal equality
+    assert ideal_equals(colon_ideal(case, case.witness), case.expected_colon)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     report(3, "six-variable colon (M^2 : f) = (x, y, z)", elapsed)
@@ -150,12 +152,13 @@ def test_criterion_3_colon_equality():
 def test_criterion_4_squared_prime_intersection():
     case = builtin_case_A6()
     t0 = time.monotonic()
-    assert verify_symbolic_square_containment(case)
+    assert verify_symbolic_square_containment(case, case.witness)
     cheap = time.monotonic() - t0
     assert cheap < 60.0
 
     t1 = time.monotonic()
-    assert verify_symbolic_square(case)  # exact ideal equality
+    assert ideal_equals(symbolic_power_from_primes(case.primes, 2),
+                        symbolic_square_generators(case, case.witness))  # exact
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0
     report(4, f"twelve squared primes intersect to M^2 + (f) "
@@ -164,9 +167,9 @@ def test_criterion_4_squared_prime_intersection():
 
 def test_criterion_5_degree_violation():
     case = builtin_case_A6()
-    assert witness_not_in_square(case)
+    assert not case.square().member(case.witness)
     assert case.witness.total_degree() == 9
-    rep = degree_violation_report(case)
+    rep = degree_violation_report(case, case.witness)
     assert rep.d_in == 9 and rep.bound == 8 and not rep.satisfied
     report(5, "f outside M^2; degree 9 beats the 2*4 bound")
 
@@ -174,7 +177,10 @@ def test_criterion_5_degree_violation():
 def test_criterion_6_seven_variable_colon():
     t0 = time.monotonic()
     case = builtin_case_A7()
-    verdicts = {w: verify_colon(case, w) for w in ("recorded", "alternate")}
+    verdicts = {
+        which: ideal_equals(colon_ideal(case, f), case.expected_colon)
+        for which, f in (("recorded", case.witness), ("alternate", case.witness_alt))
+    }
     assert any(verdicts.values())
     chosen = next(w for w, ok in verdicts.items() if ok)
     elapsed = time.monotonic() - t0

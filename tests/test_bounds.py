@@ -155,10 +155,12 @@ class TestGrowth:
             assert seq.slope_estimate == Fraction(d)
             assert seq.is_linear_within
 
-    def test_precondition_failure_marks_incomplete(self):
-        # the unit ideal has no decomposition, so every path refuses every entry
-        seq = degree_sequence(mideal(Ring(("x",)), "1"), 2)
-        assert seq.entries == () and not seq.complete
+    @pytest.mark.parametrize("gens, message", [((), "zero ideal"), (("1",), "unit ideal")],
+                             ids=["zero", "unit"])
+    def test_precondition_failure_raises(self, gens, message):
+        # the preconditions depend on I alone, so no partial sequence exists
+        with pytest.raises(ValueError, match=message):
+            degree_sequence(mideal(Ring(("x",)), *gens), 2)
 
     def test_internal_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -271,6 +271,16 @@ class TestGrowthCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == [[1, 3], [2, 6]]
 
+    @pytest.mark.parametrize("name, message", [("Z", "zero ideal"), ("U", "unit ideal")])
+    def test_zero_and_unit_ideal_are_3(self, tmp_path, capsys, name, message):
+        path = tmp_path / "zu.ideal"
+        path.write_text("ring: x y\nideal Z:\nideal U: 1\n")
+        code = main(["growth", "--file", str(path), "--ideal", name, "--N", "2"])
+        assert code == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestVerifyPaper:
     def test_single_cheap_case(self, capsys):

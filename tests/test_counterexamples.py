@@ -4,21 +4,17 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from sympow import PolyIdeal, Polynomial, Ring, ideal_equals, ideal_intersect
+import sympow.groebner as gb
+from sympow import PolyIdeal, Polynomial, Ring, ideal_equals, ideal_intersect, ideal_power
 from sympow.counterexamples import (
     builtin_case_A6,
     builtin_case_A7,
     colon_ideal,
     degree_violation_report,
     is_regular_pair,
-    squared_prime,
+    symbolic_power_from_primes,
     symbolic_square_generators,
-    verify_colon,
-    verify_prime_heights,
-    verify_radical_intersection,
-    verify_symbolic_square,
     verify_symbolic_square_containment,
-    witness_not_in_square,
 )
 
 
@@ -50,8 +46,8 @@ class TestCaseShapes:
 
     def test_witness_lies_in_every_squared_prime(self):
         case = builtin_case_A6()
-        for i in range(len(case.primes)):
-            assert squared_prime(case, i).member(case.witness)
+        for p in case.primes:
+            assert ideal_power(p, 2).member(case.witness)
 
 
 class TestStateless:
@@ -62,13 +58,14 @@ class TestStateless:
 
     def test_each_call_builds_a_fresh_case(self):
         assert builtin_case_A7() is not builtin_case_A7()
-        assert colon_ideal(builtin_case_A6()) is not colon_ideal(builtin_case_A6())
+        case = builtin_case_A6()
+        assert colon_ideal(case, case.witness) is not colon_ideal(case, case.witness)
 
 
 class TestHeights:
     def test_listed_primes_are_regular_pairs(self):
-        assert verify_prime_heights(builtin_case_A6())
-        assert verify_prime_heights(builtin_case_A7())
+        assert all(map(is_regular_pair, builtin_case_A6().primes))
+        assert all(map(is_regular_pair, builtin_case_A7().primes))
 
     def test_non_regular_pair_fails(self):
         R = Ring(("x", "y"))
@@ -81,13 +78,14 @@ class TestHeights:
 
 class TestColon:
     def test_six_variable_colon(self):
-        assert verify_colon(builtin_case_A6())
+        case = builtin_case_A6()
+        assert ideal_equals(colon_ideal(case, case.witness), case.expected_colon)
 
     def test_seven_variable_colon_alternate_witness(self):
         case = builtin_case_A7()
-        assert verify_colon(case, "alternate")
+        assert ideal_equals(colon_ideal(case, case.witness_alt), case.expected_colon)
         # the transcript's witness does not give (x, y, z); record that fact
-        assert not verify_colon(case, "recorded")
+        assert not ideal_equals(colon_ideal(case, case.witness), case.expected_colon)
 
     def test_colon_by_inner_element_is_unit(self):
         from sympow import Polynomial
@@ -102,19 +100,19 @@ class TestColon:
 
     def test_colon_implies_witness_outside_square(self):
         case = builtin_case_A6()
-        assert verify_colon(case)
-        assert witness_not_in_square(case)
+        assert ideal_equals(colon_ideal(case, case.witness), case.expected_colon)
+        assert not case.square().member(case.witness)
 
 
 class TestRadicalIntersection:
     def test_six_variable(self):
-        assert verify_radical_intersection(builtin_case_A6())
+        case = builtin_case_A6()
+        assert ideal_equals(symbolic_power_from_primes(case.primes, 1), case.ideal)
 
     def test_monomial_primes_agree_with_lcm_engine(self):
         # ten of the twelve primes are monomial; fold them through the
         # monomial engine, through elimination and through the dispatching
         # ideal_intersect, and compare exactly
-        import sympow.groebner as gb
         from sympow.ideal_files import monomial_ideal_from_poly
 
         case = builtin_case_A6()
@@ -132,7 +130,8 @@ class TestRadicalIntersection:
             assert monomial_ideal_from_poly(kernel_fold) == by_lcm
 
     def test_seven_variable_derived_primes(self):
-        assert verify_radical_intersection(builtin_case_A7())
+        case = builtin_case_A7()
+        assert ideal_equals(symbolic_power_from_primes(case.primes, 1), case.ideal)
 
     def test_dropping_a_prime_changes_or_keeps(self):
         case = builtin_case_A6()
@@ -153,40 +152,81 @@ class TestRadicalIntersection:
         assert ideal_equals(ideal_intersect(p, p), p)
 
 
+class TestPrimeFold:
+    @pytest.mark.parametrize("name, eliminations", [("A6", 2), ("A7", 1)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_only_non_monomial_primes_are_eliminated(self, name, eliminations, n,
+                                                     monkeypatch):
+        # the monomial primes come first, so the lcm branch folds them and
+        # each non-monomial prime costs one elimination
+        case = {"A6": builtin_case_A6, "A7": builtin_case_A7}[name]()
+        runs = []
+        run = gb._eliminate
+
+        def counted(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(gb, "_eliminate", counted)
+        symbolic_power_from_primes(case.primes, n)
+        assert len(runs) == eliminations
+
+    def test_progress_reports_every_step(self):
+        case = builtin_case_A7()
+        lines = []
+        inter = symbolic_power_from_primes(case.primes, 2, lines.append)
+        assert len(lines) == 11
+        assert lines[0].startswith("intersected 2/12 ideals (")
+        assert lines[-1] == f"intersected 12/12 ideals ({len(inter.generators)} generators so far)"
+
+    def test_refuses_empty_list_and_nonpositive_n(self):
+        case = builtin_case_A6()
+        with pytest.raises(ValueError, match="at least one prime"):
+            symbolic_power_from_primes([], 2)
+        with pytest.raises(ValueError, match="n >= 1"):
+            symbolic_power_from_primes(case.primes, 0)
+
+
 class TestSymbolicSquare:
     def test_containment_half_first(self):
-        assert verify_symbolic_square_containment(builtin_case_A6())
+        case = builtin_case_A6()
+        assert verify_symbolic_square_containment(case, case.witness)
 
     def test_six_variable_equality(self):
-        assert verify_symbolic_square(builtin_case_A6())
+        case = builtin_case_A6()
+        assert ideal_equals(symbolic_power_from_primes(case.primes, 2),
+                            symbolic_square_generators(case, case.witness))
 
     def test_sorted_fold_agrees(self):
         # smallest squared prime first: an independent order for the same fold
         case = builtin_case_A6()
         squares = sorted(
-            (squared_prime(case, i) for i in range(len(case.primes))),
+            (ideal_power(p, 2) for p in case.primes),
             key=lambda J: len(J.generators),
         )
         inter = squares[0]
         for sq in squares[1:]:
             inter = ideal_intersect(inter, sq)
-        assert ideal_equals(inter, symbolic_square_generators(case))
+        assert ideal_equals(inter, symbolic_square_generators(case, case.witness))
 
     def test_seven_variable_equality_alternate_witness(self):
         case = builtin_case_A7()
-        assert verify_symbolic_square_containment(case, "alternate")
-        assert verify_symbolic_square(case, witness="alternate")
+        assert verify_symbolic_square_containment(case, case.witness_alt)
+        assert ideal_equals(symbolic_power_from_primes(case.primes, 2),
+                            symbolic_square_generators(case, case.witness_alt))
 
     def test_seven_variable_recorded_witness_fails(self):
-        assert not verify_symbolic_square(builtin_case_A7(), witness="recorded")
+        case = builtin_case_A7()
+        assert not ideal_equals(symbolic_power_from_primes(case.primes, 2),
+                                symbolic_square_generators(case, case.witness))
 
     def test_degree_audit(self):
         for case in (builtin_case_A6(), builtin_case_A7()):
             rep = degree_violation_report(
-                case, "recorded" if case.name == "A6" else "alternate"
+                case, case.witness if case.name == "A6" else case.witness_alt
             )
             assert rep.d_in == 9 and rep.bound == 8 and not rep.satisfied
 
     def test_square_plus_witness_has_seven_generators(self):
         case = builtin_case_A6()
-        assert len(symbolic_square_generators(case).generators) == 7
+        assert len(symbolic_square_generators(case, case.witness).generators) == 7
