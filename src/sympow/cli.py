@@ -104,6 +104,8 @@ def _load_ideal(args):
 
 def _cmd_sympow(args) -> int:
     parsed, poly = _load_ideal(args)
+    if args.decomposition and args.method != "decomposition":
+        raise ValueError("--decomposition NAME needs --method decomposition")
     if args.method == "decomposition":
         if not args.decomposition:
             raise ValueError("--method decomposition needs --decomposition NAME")

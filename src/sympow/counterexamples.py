@@ -127,11 +127,13 @@ def colon_ideal(case: CounterexampleCase, f: Polynomial) -> PolyIdeal:
 
 
 def is_regular_pair(p: PolyIdeal) -> bool:
-    """The two generators g1, g2 of p form a regular sequence: (g1) : g2 = (g1).
+    """p is proper and its two generators g1, g2 form a regular sequence:
+    (g1) : g2 = (g1).
 
     An ideal generated by a regular sequence of length two has height two.
+    The colon alone does not see a unit ideal such as (x + 1, x).
     """
-    if len(p.generators) != 2:
+    if len(p.generators) != 2 or p.member(Polynomial.constant(p.ring, 1)):
         return False
     g1, g2 = p.generators
     principal = PolyIdeal(p.ring, (g1,))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring
+from .rings import Monomial, Ring, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -201,9 +201,8 @@ def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:
         raise ValueError("need at least one decomposition component")
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
-    ring = components[0].ring
-    if any(c.ring != ring for c in components):
-        raise ValueError("decomposition components live in different rings")
+    for c in components[1:]:
+        check_same_ring(components[0], c)
     return _intersect_fold([c.power(n) for c in components])
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import neg, sub
 
-from .rings import Monomial, Ring, RingMismatchError, check_same_ring
+from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _support, check_same_ring
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
 
@@ -81,29 +81,6 @@ LEX = Lex()
 # polynomials
 
 
-def _exp_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def _exp_divides(a, b):
-    return all(map(le, a, b))
-
-
-def _exp_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _support(exps):
-    """Bitmask of the variables with a positive exponent."""
-    mask = 0
-    bit = 1
-    for x in exps:
-        if x:
-            mask |= bit
-        bit <<= 1
-    return mask
-
-
 class Polynomial:
     """Sparse exact-rational polynomial: a dict from exponent tuple to Fraction.
 
@@ -149,9 +126,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring: Ring, name: str) -> Polynomial:
-        exps = [0] * ring.nvars
-        exps[ring.index(name)] = 1
-        return cls(ring, {tuple(exps): Fraction(1)})
+        return cls.from_monomial(ring.variable(name))
 
     @classmethod
     def from_monomial(cls, m: Monomial, c=1) -> Polynomial:
@@ -621,8 +596,7 @@ class PolyIdeal:
         self.ring = ring
         gens = _check_polynomials(generators)
         for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generator from a different ring")
+            check_same_ring(self, g)
         self.generators = tuple(g for g in gens if not g.is_zero())
         self._basis = None
 
@@ -658,13 +632,8 @@ class PolyIdeal:
         return f"PolyIdeal{self}"
 
 
-def _check_rings(I: PolyIdeal, J: PolyIdeal):
-    if I.ring != J.ring:
-        raise RingMismatchError("ideals live in different rings")
-
-
 def ideal_sum(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    _check_rings(I, J)
+    check_same_ring(I, J)
     gens = list(I.generators)
     for g in J.generators:
         if g not in gens:
@@ -673,7 +642,7 @@ def ideal_sum(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
 
 
 def ideal_product(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    _check_rings(I, J)
+    check_same_ring(I, J)
     gens = []
     for f in I.generators:
         for g in J.generators:
@@ -709,7 +678,7 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J. When every generator of both ideals has one term, the pairwise
     lcms span it (Miller-Sturmfels, Prop. 1.14) and their minimal monic
     entries are its reduced degrevlex basis; any other input is eliminated."""
-    _check_rings(I, J)
+    check_same_ring(I, J)
     if I.is_zero() or J.is_zero():
         return PolyIdeal.zero(I.ring)
     if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
@@ -761,5 +730,5 @@ def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
 def ideal_equals(I: PolyIdeal, J: PolyIdeal) -> bool:
     """The reduced degrevlex bases coincide exactly. Their entries are
     canonical: primitive, lex-leading term positive, largest lead first."""
-    _check_rings(I, J)
+    check_same_ring(I, J)
     return I._entries() == J._entries()

@@ -58,12 +58,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_variables(cls, ring: Ring, indices) -> MonomialIdeal:
-        gens = []
-        for i in indices:
-            exps = [0] * ring.nvars
-            exps[i] = 1
-            gens.append(Monomial(ring, tuple(exps)))
-        return cls(ring, gens)
+        return cls(ring, [ring.variable(ring.variables[i]) for i in indices])
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -78,7 +73,7 @@ class MonomialIdeal:
         return all(g.is_squarefree() for g in self.generators)
 
     def contains(self, u: Monomial) -> bool:
-        check_same_ring(self.generators[0] if self.generators else self.ring.one(), u)
+        check_same_ring(self, u)
         return any(g.divides(u) for g in self.generators)
 
     def issubset(self, other: MonomialIdeal) -> bool:
@@ -86,14 +81,12 @@ class MonomialIdeal:
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Set-theoretic intersection via pairwise lcms of the generators."""
-        if self.ring != other.ring:
-            check_same_ring(self.ring.one(), other.ring.one())
+        check_same_ring(self, other)
         gens = [u.lcm(v) for u in self.generators for v in other.generators]
         return MonomialIdeal(self.ring, gens)
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
-        if self.ring != other.ring:
-            check_same_ring(self.ring.one(), other.ring.one())
+        check_same_ring(self, other)
         gens = [u * v for u in self.generators for v in other.generators]
         return MonomialIdeal(self.ring, gens)
 

@@ -1,6 +1,32 @@
-"""Rings of named variables and exponent-vector monomials over them."""
+"""Rings of named variables, exponent-vector monomials over them, and the
+exponent-tuple helpers the monomial engine and the Groebner kernel share."""
 
 from __future__ import annotations
+
+from operator import add, le
+
+
+def _exp_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def _exp_divides(a, b):
+    return all(map(le, a, b))
+
+
+def _exp_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _support(exps):
+    """Bitmask of the variables with a positive exponent."""
+    mask = 0
+    bit = 1
+    for x in exps:
+        if x:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 class RingMismatchError(ValueError):
@@ -62,6 +88,7 @@ class Ring:
 
 
 def check_same_ring(a, b):
+    """Refuse two objects (monomials, polynomials, ideals) whose ``.ring`` differ."""
     if a.ring != b.ring:
         raise RingMismatchError(
             f"operands live in different rings: {a.ring!r} vs {b.ring!r}"
@@ -107,14 +134,11 @@ class Monomial:
 
     def divides(self, other: Monomial) -> bool:
         check_same_ring(self, other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return _exp_divides(self.exponents, other.exponents)
 
     def lcm(self, other: Monomial) -> Monomial:
         check_same_ring(self, other)
-        return Monomial(
-            self.ring,
-            tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
+        return Monomial(self.ring, _exp_lcm(self.exponents, other.exponents))
 
     def colon(self, other: Monomial) -> Monomial:
         """Generator-level quotient: exponentwise max(self - other, 0)."""
@@ -126,10 +150,7 @@ class Monomial:
 
     def __mul__(self, other: Monomial) -> Monomial:
         check_same_ring(self, other)
-        return Monomial(
-            self.ring,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
+        return Monomial(self.ring, _exp_mul(self.exponents, other.exponents))
 
     def __pow__(self, n: int) -> Monomial:
         if n < 0:

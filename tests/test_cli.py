@@ -186,6 +186,16 @@ class TestExitCodes:
                      "--method", "decomposition"])
         assert code == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("method", [[], ["--method", "saturation"], ["--method", "squarefree"]],
+                             ids=["default", "saturation", "squarefree"])
+    def test_decomposition_name_needs_method(self, ex31_path, capsys, method):
+        code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2",
+                     "--decomposition", "D", *method])
+        assert code == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs --method decomposition" in captured.err
+
     def test_decomposition_of_another_ideal_is_3(self, tmp_path, capsys):
         # (x) ∩ (z) = (x*z), but I = (x*y, y*z) = (y) ∩ (x, z)
         path = tmp_path / "mismatch.ideal"

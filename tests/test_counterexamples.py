@@ -3,6 +3,7 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
+from conftest import poly
 
 import sympow.groebner as gb
 from sympow import PolyIdeal, Polynomial, Ring, ideal_equals, ideal_intersect, ideal_power
@@ -74,6 +75,12 @@ class TestHeights:
         assert not is_regular_pair(PolyIdeal(R, (x, x * y)))
         assert is_regular_pair(PolyIdeal(R, (x, y)))
         assert not is_regular_pair(PolyIdeal(R, (x,)))
+
+    @pytest.mark.parametrize("g1, g2", [("1", "x"), ("x", "1"), ("x + 1", "x")])
+    def test_unit_ideal_is_not_a_regular_pair(self, g1, g2):
+        # (g1) : g2 = (g1) holds for each, but the pair spans the unit ideal
+        R = Ring(("x", "y"))
+        assert not is_regular_pair(PolyIdeal(R, (poly(R, g1), poly(R, g2))))
 
 
 class TestColon:

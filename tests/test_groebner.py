@@ -8,6 +8,8 @@ from math import gcd
 import pytest
 from basis_oracle import verify_basis
 from conftest import (
+    mideal,
+    mono,
     pideal,
     poly,
     random_monomial,
@@ -18,6 +20,7 @@ from conftest import (
 )
 
 import sympow.groebner as gb
+import sympow.rings as rings
 from sympow import (
     DEGREVLEX,
     LEX,
@@ -26,6 +29,7 @@ from sympow import (
     PolyIdeal,
     Polynomial,
     Ring,
+    RingMismatchError,
     buchberger,
     divide_exact,
     ideal_equals,
@@ -36,6 +40,7 @@ from sympow import (
     ideal_sum,
     normal_form,
     s_polynomial,
+    symbolic_power_from_decomposition,
 )
 from sympow.counterexamples import builtin_case_A6, builtin_case_A7, colon_ideal, symbolic_power_from_primes
 from sympow.ideal_files import monomial_ideal_from_poly
@@ -110,11 +115,22 @@ class TestExponentHelpers:
             yield a, b
 
     def test_helpers_match_definitions(self):
+        # one definition each, in rings, shared by both engines
+        for name in ("_exp_mul", "_exp_divides", "_exp_lcm", "_support"):
+            assert getattr(gb, name) is getattr(rings, name)
         for a, b in self.pairs():
-            assert gb._exp_mul(a, b) == tuple(x + y for x, y in zip(a, b))
-            assert gb._exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
-            assert gb._exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            mul = tuple(x + y for x, y in zip(a, b))
+            divides = all(x <= y for x, y in zip(a, b))
+            lcm = tuple(max(x, y) for x, y in zip(a, b))
+            assert gb._exp_mul(a, b) == mul
+            assert gb._exp_divides(a, b) == divides
+            assert gb._exp_lcm(a, b) == lcm
             assert gb._support(a) == sum(1 << i for i, x in enumerate(a) if x)
+            ring = Ring(tuple(f"x{i}" for i in range(len(a))))
+            u, v = ring.monomial(a), ring.monomial(b)
+            assert u.divides(v) == divides
+            assert u.lcm(v) == ring.monomial(lcm)
+            assert u * v == ring.monomial(mul)
 
     def test_masks_agree_with_exponents(self):
         divisible = coprime = 0
@@ -449,6 +465,38 @@ class TestIdealOps:
         assert not colon.member(x)
         assert ideal_equals(colon, scaled)
         assert not ideal_equals(colon, bigger)
+
+
+XY, XYZ = Ring(("x", "y")), Ring(("x", "y", "z"))
+
+
+class TestRingMismatch:
+    """Every operation on two objects of different rings raises RingMismatchError."""
+
+    @pytest.mark.parametrize("op", [
+        pytest.param(lambda: ideal_sum(pideal(XY, "x"), pideal(XYZ, "y")), id="ideal_sum"),
+        pytest.param(lambda: ideal_product(pideal(XY, "x"), pideal(XYZ, "y")), id="ideal_product"),
+        pytest.param(lambda: ideal_intersect(pideal(XY, "x"), pideal(XYZ, "y")),
+                     id="ideal_intersect"),
+        pytest.param(lambda: ideal_intersect(pideal(XY, "x - y"), pideal(XYZ, "y")),
+                     id="ideal_intersect-eliminate"),
+        pytest.param(lambda: ideal_intersect(PolyIdeal.zero(XY), pideal(XYZ, "y")),
+                     id="ideal_intersect-zero"),
+        pytest.param(lambda: ideal_quotient(pideal(XY, "x*y"), poly(XYZ, "y")), id="ideal_quotient"),
+        pytest.param(lambda: ideal_equals(pideal(XY, "x"), pideal(XYZ, "x")), id="ideal_equals"),
+        pytest.param(lambda: pideal(XY, "x").member(poly(XYZ, "x")), id="PolyIdeal.member"),
+        pytest.param(lambda: PolyIdeal(XY, [poly(XYZ, "x")]), id="PolyIdeal"),
+        pytest.param(lambda: mideal(XY, "x").contains(mono(XYZ, "x*y")), id="MonomialIdeal.contains"),
+        pytest.param(lambda: MonomialIdeal.zero(XY).contains(mono(XYZ, "x")),
+                     id="MonomialIdeal.contains-zero"),
+        pytest.param(lambda: mideal(XY, "x").intersect(mideal(XYZ, "y")), id="MonomialIdeal.intersect"),
+        pytest.param(lambda: mideal(XY, "x") * mideal(XYZ, "y"), id="MonomialIdeal.mul"),
+        pytest.param(lambda: symbolic_power_from_decomposition([mideal(XY, "x"), mideal(XYZ, "y")], 2),
+                     id="symbolic_power_from_decomposition"),
+    ])
+    def test_operands_from_two_rings(self, op):
+        with pytest.raises(RingMismatchError, match="different rings"):
+            op()
 
 
 class TestIntersect:
