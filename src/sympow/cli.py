@@ -67,9 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--n", required=True, type=_positive_int)
-    p.add_argument("--method", choices=("squarefree", "decomposition", "saturation"),
-                   default="saturation")
-    p.add_argument("--primes", choices=("min", "ass"), default="min")
+    p.add_argument("--primes", choices=("min", "ass"))
     p.add_argument("--decomposition")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -104,24 +102,23 @@ def _load_ideal(args):
 
 def _cmd_sympow(args) -> int:
     parsed, poly = _load_ideal(args)
-    if args.decomposition and args.method != "decomposition":
-        raise ValueError("--decomposition NAME needs --method decomposition")
-    if args.method == "decomposition":
-        if not args.decomposition:
-            raise ValueError("--method decomposition needs --decomposition NAME")
+    ideal = monomial_ideal_from_poly(poly)
+    if args.decomposition is not None:
+        if args.primes:
+            raise ValueError("--primes does not go with --decomposition: the components define the power")
         components = [
             monomial_ideal_from_poly(c)
             for c in parsed.decomposition_components(args.decomposition)
         ]
         # the first symbolic power of a decomposition is its intersection
-        if symbolic_power_from_decomposition(components, 1) != monomial_ideal_from_poly(poly):
+        if symbolic_power_from_decomposition(components, 1) != ideal:
             raise ValueError(f"the components of decomposition {args.decomposition} "
                              f"do not intersect to ideal {args.ideal}")
         result = symbolic_power_from_decomposition(components, args.n)
-    elif args.method == "squarefree":
-        result = symbolic_power_squarefree(monomial_ideal_from_poly(poly), args.n)
+    elif args.primes == "ass":
+        result = symbolic_power_saturation(ideal, args.n, primes="ass")
     else:
-        result = symbolic_power_saturation(monomial_ideal_from_poly(poly), args.n, primes=args.primes)
+        result = symbolic_power(ideal, args.n)
     stats = result.degree_stats()
     if args.format == "json":
         payload = {
@@ -132,7 +129,7 @@ def _cmd_sympow(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"ideal {args.ideal}, n = {args.n}, method = {args.method}")
+        print(f"ideal {args.ideal}, n = {args.n}")
         print(f"generators ({stats.count}):")
         for g in result.generators:
             print(f"  {g}")
@@ -146,7 +143,9 @@ def _cmd_bounds(args) -> int:
     kinds = [kind for flag, kind in (("huneke", BOUND_HUNEKE), ("lcm", BOUND_LCM),
                                      ("sumdeg", BOUND_SUMDEG))
              if args.bound in (flag, "all")]
-    # an invalid --D is refused before the power is computed
+    # an invalid or unused --D is refused before the power is computed
+    if args.D is not None and BOUND_HUNEKE not in kinds:
+        raise ValueError(f"--D applies only to the huneke bound, not to --bound {args.bound}")
     per_n = {kind: per_n_bound(ideal, kind, args.D) for kind in kinds}
     d_in = symbolic_power(ideal, args.n).degree_stats().max_gen_degree
     reports = [BoundReport(kind, args.n, d_in, bound * args.n) for kind, bound in per_n.items()]
@@ -237,7 +236,7 @@ def _claims_ex32():
     yield ("squarefree path reproduces the 31 recorded generators",
            sq == case.expected_square, f"{len(sq.generators)} generators")
     # the irreducible components of a squarefree ideal are its minimal primes,
-    # found here by splitting generators rather than by minimal vertex covers
+    # found here by splitting generators rather than by Alexander duality
     components = irreducible_decomposition(case.ideal).components
     dec = symbolic_power_from_decomposition(components, 2)
     yield ("decomposition path (minimal primes) agrees", dec == case.expected_square, "")

@@ -85,40 +85,22 @@ def _intersect_fold(ideals) -> MonomialIdeal:
     return result
 
 
-def minimal_covers(edges):
-    """All minimal transversals of a hypergraph, as sorted frozensets.
-
-    Branches on the vertices of a smallest uncovered edge; the raw covers
-    are then pruned to the antichain of minimal ones.
-    """
-    found = set()
-
-    def extend(cover, remaining):
-        if not remaining:
-            found.add(frozenset(cover))
-            return
-        edge = min(remaining, key=lambda e: (len(e), sorted(e)))
-        for v in sorted(edge):
-            extend(cover | {v}, [e for e in remaining if v not in e])
-
-    extend(frozenset(), [frozenset(e) for e in edges])
-    minimal = []
-    for c in sorted(found, key=lambda s: (len(s), sorted(s))):
-        if not any(m <= c for m in minimal):
-            minimal.append(c)
-    return minimal
-
-
 def minimal_variable_primes(I: MonomialIdeal) -> list:
-    """Minimal primes of a squarefree ideal via minimal vertex covers."""
+    """Minimal primes of a squarefree ideal, sorted by (size, indices).
+
+    By Alexander duality they are the supports of the minimal generators
+    of the intersection of the primes spanned by each generator's support
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Ch. 1 and 5).
+    """
     _require_proper_nonzero(I)
     if not I.is_squarefree():
         raise NotSquarefreeError(
             "minimal primes need a squarefree ideal; pass radical() "
             "or use the irreducible decomposition"
         )
-    covers = minimal_covers(g.support() for g in I.generators)
-    return [VariablePrime(I.ring, tuple(sorted(c))) for c in covers]
+    dual = _intersect_fold([MonomialIdeal.from_variables(I.ring, g.support()) for g in I.generators])
+    primes = [VariablePrime(I.ring, g.support()) for g in dual.generators]
+    return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
 
 def minimal_primes(I: MonomialIdeal) -> Decomposition:

@@ -106,13 +106,11 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, [g.colon(u) for g in self.generators])
 
     def saturate(self, u: Monomial) -> MonomialIdeal:
-        """(I : u^inf): iterate quotient until the ideal stops growing."""
-        current = self
-        while True:
-            nxt = current.quotient(u)
-            if nxt == current:
-                return current
-            current = nxt
+        """(I : u^inf): each generator with the variables of u set to 0 (u inverted)."""
+        check_same_ring(self, u)
+        gens = [Monomial(self.ring, tuple(0 if b else a for a, b in zip(g.exponents, u.exponents)))
+                for g in self.generators]
+        return MonomialIdeal(self.ring, gens)
 
     def radical(self) -> MonomialIdeal:
         return MonomialIdeal(self.ring, [g.radical() for g in self.generators])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,6 +14,7 @@ from sympow.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_VERIFY_FAIL,
+    _build_parser,
     main,
 )
 from sympow.schemas import BOUNDS_SCHEMA, GROWTH_SCHEMA, SYMPOW_SCHEMA, VERIFY_SCHEMA
@@ -50,8 +52,7 @@ def terai_path(tmp_path):
 class TestSympowCommand:
     def test_decomposition_method(self, ex31_path, capsys):
         code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--method", "decomposition", "--decomposition", "D",
-                     "--format", "json"])
+                     "--decomposition", "D", "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, SYMPOW_SCHEMA)
@@ -67,14 +68,14 @@ class TestSympowCommand:
 
     def test_associated_primes_selector(self, ex31_path, capsys):
         code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--method", "saturation", "--primes", "ass", "--format", "json"])
+                     "--primes", "ass", "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["degrees"] == {"max": 6, "beg": 4, "count": 6}
 
     def test_terai_squarefree(self, terai_path, capsys):
         code = main(["sympow", "--file", terai_path, "--ideal", "T", "--n", "2",
-                     "--method", "squarefree", "--format", "json"])
+                     "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, SYMPOW_SCHEMA)
@@ -83,7 +84,7 @@ class TestSympowCommand:
 
     def test_n1_echoes_squarefree_input(self, terai_path, capsys):
         code = main(["sympow", "--file", terai_path, "--ideal", "T", "--n", "1",
-                     "--method", "squarefree", "--format", "json"])
+                     "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["degrees"] == {"max": 3, "beg": 3, "count": 10}
@@ -92,7 +93,38 @@ class TestSympowCommand:
         code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == "ideal I, n = 2"
         assert "generators (6):" in out and "beg = 4" in out
+
+    @pytest.mark.parametrize("ideal, flags, taken, squarefree", [
+        ("I", [], ["symbolic_power"], 0),
+        ("I", ["--primes", "min"], ["symbolic_power"], 0),
+        ("I", ["--primes", "ass"], ["symbolic_power_saturation primes=ass"], 0),
+        # the intersection check at n = 1, then the power
+        ("I", ["--decomposition", "D"], ["symbolic_power_from_decomposition"] * 2, 0),
+        ("T", [], ["symbolic_power"], 1),
+    ], ids=["default", "primes-min", "primes-ass", "decomposition", "squarefree-input"])
+    def test_path_rule(self, ex31_path, terai_path, capsys, monkeypatch, ideal, flags, taken, squarefree):
+        import sympow.cli as cli
+        import sympow.decomp as decomp
+
+        calls = []
+        for name in ("symbolic_power", "symbolic_power_saturation", "symbolic_power_from_decomposition"):
+            def recorded(*args, name=name, original=getattr(cli, name), **kwargs):
+                calls.append(" ".join([name] + [f"{k}={v}" for k, v in kwargs.items()]))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recorded)
+        squarefree_calls = []
+        original_squarefree = decomp.symbolic_power_squarefree
+        monkeypatch.setattr(decomp, "symbolic_power_squarefree",
+                            lambda *args: squarefree_calls.append(args) or original_squarefree(*args))
+        code = main(["sympow", "--file", ex31_path if ideal == "I" else terai_path,
+                     "--ideal", ideal, "--n", "2", *flags, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["degrees"]["count"] == (6 if ideal == "I" else 31)
+        assert calls == taken
+        # symbolic_power takes the squarefree path on squarefree input only
+        assert len(squarefree_calls) == squarefree
 
 
 class TestExitCodes:
@@ -118,11 +150,11 @@ class TestExitCodes:
         code = main(["sympow", "--file", ex31_path, "--ideal", "Q", "--n", "1"])
         assert code == EXIT_PARSE
 
-    def test_squarefree_method_on_non_squarefree_is_3(self, ex31_path, capsys):
+    def test_method_flag_is_gone(self, ex31_path, capsys):
         code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--method", "squarefree"])
-        assert code == EXIT_PRECONDITION
-        assert "squarefree" in capsys.readouterr().err
+                     "--method", "saturation"])
+        assert code == EXIT_PARSE
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
     def test_non_monomial_ideal_is_3(self, ex31_path, capsys):
         code = main(["sympow", "--file", ex31_path, "--ideal", "M", "--n", "2"])
@@ -181,20 +213,19 @@ class TestExitCodes:
         code = main(["sympow", "--file", str(path), "--ideal", "Z", "--n", "2"])
         assert code == EXIT_PRECONDITION
 
-    def test_decomposition_method_needs_name(self, ex31_path):
-        code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--method", "decomposition"])
-        assert code == EXIT_PRECONDITION
+    @pytest.mark.parametrize("primes", ["min", "ass"])
+    def test_primes_with_decomposition_is_3(self, ex31_path, capsys, monkeypatch, primes):
+        import sympow.cli as cli
 
-    @pytest.mark.parametrize("method", [[], ["--method", "saturation"], ["--method", "squarefree"]],
-                             ids=["default", "saturation", "squarefree"])
-    def test_decomposition_name_needs_method(self, ex31_path, capsys, method):
+        calls = []
+        monkeypatch.setattr(cli, "symbolic_power_from_decomposition", lambda *args: calls.append(args))
         code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--decomposition", "D", *method])
+                     "--decomposition", "D", "--primes", primes])
         assert code == EXIT_PRECONDITION
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "needs --method decomposition" in captured.err
+        assert "--primes does not go with --decomposition" in captured.err
+        assert calls == []  # refused before any power is computed
 
     def test_decomposition_of_another_ideal_is_3(self, tmp_path, capsys):
         # (x) ∩ (z) = (x*z), but I = (x*y, y*z) = (y) ∩ (x, z)
@@ -202,7 +233,7 @@ class TestExitCodes:
         path.write_text("ring: x y z\nideal I: x*y, y*z\nideal A: x\nideal B: z\n"
                         "decomposition D: A & B\n")
         code = main(["sympow", "--file", str(path), "--ideal", "I", "--n", "2",
-                     "--method", "decomposition", "--decomposition", "D"])
+                     "--decomposition", "D"])
         assert code == EXIT_PRECONDITION
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -259,6 +290,28 @@ class TestBoundsCommand:
         assert code == EXIT_PRECONDITION
         assert "D = 1 is below the max generator degree 3" in capsys.readouterr().err
         assert calls == []  # refused before the power is computed
+
+    @pytest.mark.parametrize("bound", ["lcm", "sumdeg"])
+    @pytest.mark.parametrize("D", ["1", "5"])
+    def test_D_without_huneke_is_3(self, ex31_path, capsys, monkeypatch, bound, D):
+        import sympow.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "symbolic_power", lambda *args: calls.append(args))
+        code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",
+                     "--bound", bound, "--D", D])
+        assert code == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--D applies only to the huneke bound, not to --bound {bound}" in captured.err
+        assert calls == []  # refused before the power is computed
+
+    def test_D_with_all_bounds(self, ex31_path, capsys):
+        code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",
+                     "--D", "5", "--format", "json"])
+        assert code == EXIT_OK
+        bounds = {r["bound_kind"]: r["bound"] for r in json.loads(capsys.readouterr().out)["reports"]}
+        assert bounds == {"huneke_D_times_n": 10, "lcm_degree": 12, "sum_of_degrees": 16}
 
 
 class TestGrowthCommand:
@@ -340,8 +393,8 @@ class TestVerifyPaper:
     def test_ex32_decomposition_claim_is_independent(self, capsys, monkeypatch):
         import sympow.decomp as decomp
 
-        original = decomp.minimal_covers
-        monkeypatch.setattr(decomp, "minimal_covers", lambda edges: original(edges)[:-1])
+        original = decomp.minimal_variable_primes
+        monkeypatch.setattr(decomp, "minimal_variable_primes", lambda I: original(I)[:-1])
         code = main(["verify-paper", "--case", "ex32", "--format", "json"])
         assert code == EXIT_VERIFY_FAIL
         claims = {c["claim"]: c["pass"]
@@ -355,3 +408,28 @@ class TestVerifyPaper:
         out, err = capsys.readouterr()
         assert "PASS" in out
         assert "PASS" not in err
+
+
+def readme_synopsis():
+    """Flags per subcommand in the ``sh`` block of README's CLI section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    flags = {}
+    command = None
+    for line in block.splitlines():
+        match = re.match(r"sympow (\S+)", line)
+        if match:
+            command = match.group(1)
+            flags[command] = set()
+        if command is not None:
+            flags[command].update(re.findall(r"--[a-zA-Z][\w-]*", line))
+    return flags
+
+
+def test_readme_synopsis_matches_the_parser():
+    subparsers = next(a for a in _build_parser()._actions if a.choices and a.dest == "command")
+    parser_flags = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert readme_synopsis() == parser_flags

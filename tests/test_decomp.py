@@ -23,7 +23,7 @@ from sympow.cases import case_ex31, case_ex32
 
 
 def brute_minimal_covers(edges, nvars):
-    # raw 2^m enumeration, the independent oracle for the pruned search
+    # raw 2^m enumeration, the independent oracle for the Alexander-dual fold
     covers = []
     for r in range(nvars + 1):
         for subset in combinations(range(nvars), r):
@@ -59,6 +59,27 @@ class TestMinimalPrimes:
         # intersecting the primes recovers the ideal
         dec = minimal_primes(I)
         assert dec.intersection() == I
+
+    def test_order_is_pinned(self):
+        # sorted by (size, indices): the path x-y-z-t-u, then Terai's ideal
+        R = Ring(("x", "y", "z", "t", "u"))
+        path = mideal(R, "x*y", "y*z", "z*t", "t*u")
+        assert [p.variables for p in minimal_variable_primes(path)] == [
+            (1, 3), (0, 2, 3), (0, 2, 4), (1, 2, 4)]
+        assert [p.variables for p in minimal_variable_primes(case_ex32().ideal)] == [
+            (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 3, 4), (0, 3, 5),
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5), (2, 4, 5)]
+
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_cycle_against_bruteforce(self, k):
+        R = Ring(tuple(f"x{i}" for i in range(k)))
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        cycle = MonomialIdeal(R, [R.variable(R.variables[i]) * R.variable(R.variables[j])
+                                  for i, j in edges])
+        primes = minimal_variable_primes(cycle)
+        assert {frozenset(p.variables) for p in primes} == brute_minimal_covers(edges, k)
+        assert len(primes) == len({p.variables for p in primes})
+        assert minimal_primes(cycle).intersection() == cycle
 
     def test_antichain_random(self):
         rng = seeded(201)

@@ -186,6 +186,27 @@ class TestQuotientSaturate:
         assert I.saturate(u) == current
         assert current.contains(mono(R4, "x^2"))
 
+    def test_saturate_matches_iterated_quotient_random(self):
+        def iterated_quotient(I, u):
+            # the definition: (I : u^k) for k = 1, 2, ... until it stops growing
+            current = I
+            while True:
+                nxt = current.quotient(u)
+                if nxt == current:
+                    return current
+                current = nxt
+
+        rng = seeded(108)
+        for _ in range(100):
+            I = random_monomial_ideal(rng)
+            g = rng.choice(I.generators)
+            covering = g.radical() * random_monomial(rng, I.ring, 2)
+            for u in (random_monomial(rng, I.ring, 4), I.ring.one(), covering):
+                assert I.saturate(u) == iterated_quotient(I, u)
+            assert I.saturate(I.ring.one()) == I
+            # u covers the support of g, so g becomes a unit
+            assert I.saturate(covering).is_unit()
+
     def test_quotient_law_random(self):
         rng = seeded(106)
         for _ in range(50):
