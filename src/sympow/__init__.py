@@ -32,11 +32,9 @@ from .decomp import (
 )
 from .groebner import (
     DEGREVLEX,
-    LEX,
     BlockElimination,
     DegRevLex,
     InternalInvariantError,
-    Lex,
     PolyIdeal,
     Polynomial,
     buchberger,
@@ -47,8 +45,6 @@ from .groebner import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
-    normal_form,
-    s_polynomial,
 )
 from .ideal_files import (
     IdealFile,

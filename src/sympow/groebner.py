@@ -1,7 +1,7 @@
 """Exact Groebner-basis kernel over the rationals.
 
 Sparse polynomials with Fraction coefficients, monomial orders
-(degrevlex, lex, block elimination), multivariate division, Buchberger
+(degrevlex, block elimination), multivariate division, Buchberger
 with the Gebauer-Moeller pair update, reduced bases, and the ideal
 operations built on them: membership, sum, product, power, intersection
 (by lcms for monomial ideals, by elimination otherwise), colon by a
@@ -48,12 +48,6 @@ class DegRevLex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class Lex(MonomialOrder):
-    def key(self, exps):
-        return tuple(exps)
-
-
-@dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
     """Compare the first ``first_k`` exponents (degrevlex) before the rest.
 
@@ -74,7 +68,6 @@ class BlockElimination(MonomialOrder):
 
 
 DEGREVLEX = DegRevLex()
-LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +359,6 @@ def _prepare_divisors(G, order):
     return [_entry(_integer_terms(g.coeffs)[0], order) for g in G if g]
 
 
-def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Remainder of f on division by G (tried in list order).
-
-    f minus the result lies in the ideal spanned by G, and no remainder
-    term is divisible by any leading monomial of G. The division runs on
-    integer multiples of f and G; the result is the kernel's remainder
-    divided by its scale and by the denominator cleared from f, so it is
-    exact.
-    """
-    divisors = _prepare_divisors(G, order)
-    if not divisors:
-        return f
-    terms, den = _integer_terms(f.coeffs)
-    r, scale = _reduce_dict(terms, divisors, order)
-    return Polynomial(f.ring, {e: Fraction(c, scale * den) for e, c in r.items()})
-
-
 def _s_terms(a, b, L):
     """Integer S-polynomial of two divisor entries whose leads have lcm L:
     (cb/g)*x^(L - ea)*a - (ca/g)*x^(L - eb)*b with g = gcd(ca, cb)."""
@@ -401,16 +377,6 @@ def _s_terms(a, b, L):
         else:
             out.pop(tgt, None)
     return out
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g for the leading terms lt under order."""
-    if not f or not g:
-        raise ValueError("the zero polynomial has no leading term")
-    a, b = _prepare_divisors((f, g), order)
-    terms = _s_terms(a, b, _exp_lcm(a[0], b[0]))
-    scale = Fraction(gcd(a[1], b[1]), a[1] * b[1])
-    return Polynomial(f.ring, {e: c * scale for e, c in terms.items()})
 
 
 def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -461,6 +427,17 @@ def _monic(ring, entry):
     return Polynomial(ring, {e: Fraction(c, dc) for e, c in terms.items()})
 
 
+def _minimal_lcms(candidates):
+    """The (exps, support mask) candidates, of distinct exps, that no other
+    candidate divides, in ascending degree. A proper divisor has a smaller
+    degree, so each candidate is tested against the survivors before it."""
+    minimal = []
+    for L, Lmask in sorted(candidates, key=lambda c: sum(c[0])):
+        if not any(not mmask & ~Lmask and _exp_divides(m, L) for m, mmask in minimal):
+            minimal.append((L, Lmask))
+    return minimal
+
+
 def _reduced_entries(divisors, order):
     """Reduced basis, largest lead first, from the divisor entries of a Groebner basis.
 
@@ -494,11 +471,13 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
         return ()
     for g in gens:
         check_same_ring(gens[0], g)
-    return tuple(_monic(gens[0].ring, e) for e in _groebner_entries(gens, order))
+    entries = _reduced_entries(_groebner_entries(gens, order), order)
+    return tuple(_monic(gens[0].ring, e) for e in entries)
 
 
 def _groebner_entries(gens, order):
-    """Divisor entries of the reduced basis of nonzero polynomials of one ring.
+    """Divisor entries of a Groebner basis of nonzero polynomials of one ring,
+    in the order they joined it; ``_reduced_entries`` makes it reduced.
 
     Pair selection is by smallest lcm (degree first). Pairs are pruned by
     the Gebauer-Moeller update, run once each time an element joins the
@@ -543,14 +522,9 @@ def _groebner_entries(gens, order):
             first, coprime = groups.get(L, (j, False))
             groups[L] = (first, coprime or not masks[j] & dmask)
         # criterion M keeps the minimal lcms; F keeps one pair of each
-        minimal = []
-        for L in sorted(groups, key=sum):
-            Lmask = masks[groups[L][0]] | dmask
-            if not any(
-                not mmask & ~Lmask and _exp_divides(m, L) for m, mmask in minimal
-            ):
-                minimal.append((L, Lmask))
-        for L, Lmask in minimal:
+        for L, Lmask in _minimal_lcms(
+            (L, masks[first] | dmask) for L, (first, _) in groups.items()
+        ):
             j, coprime = groups[L]
             if not coprime:
                 pending[j, new] = L, Lmask
@@ -578,7 +552,7 @@ def _groebner_entries(gens, order):
         if pair is not None:
             reduce_and_append(_s_terms(divisors[i], divisors[j], pair[0]))
 
-    return _reduced_entries(divisors, order)
+    return divisors
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +583,9 @@ class PolyIdeal:
 
     def _entries(self):
         if self._basis is None:
-            self._basis = _groebner_entries(self.generators, DEGREVLEX)
+            self._basis = _reduced_entries(
+                _groebner_entries(self.generators, DEGREVLEX), DEGREVLEX
+            )
         return self._basis
 
     def groebner_basis(self):
@@ -633,23 +609,19 @@ class PolyIdeal:
 
 
 def ideal_sum(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
+    """The generators of I, then the first occurrence of each generator of J
+    that I lacks."""
     check_same_ring(I, J)
-    gens = list(I.generators)
-    for g in J.generators:
-        if g not in gens:
-            gens.append(g)
-    return PolyIdeal(I.ring, gens)
+    extra = dict.fromkeys(J.generators)
+    for g in I.generators:
+        extra.pop(g, None)
+    return PolyIdeal(I.ring, I.generators + tuple(extra))
 
 
 def ideal_product(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
+    """The first occurrence of each pairwise product, in generator order."""
     check_same_ring(I, J)
-    gens = []
-    for f in I.generators:
-        for g in J.generators:
-            fg = f * g
-            if fg not in gens:
-                gens.append(fg)
-    return PolyIdeal(I.ring, gens)
+    return PolyIdeal(I.ring, dict.fromkeys(f * g for f in I.generators for g in J.generators))
 
 
 def ideal_power(I: PolyIdeal, n: int) -> PolyIdeal:
@@ -684,7 +656,9 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
         return _eliminate(I, J)
     lcms = {_exp_lcm(*g.coeffs, *h.coeffs) for g in I.generators for h in J.generators}
-    basis = _reduced_entries([_entry({L: 1}, DEGREVLEX) for L in lcms], DEGREVLEX)
+    minimal = _minimal_lcms((L, _support(L)) for L in lcms)
+    minimal.sort(key=lambda c: DEGREVLEX.key(c[0]), reverse=True)
+    basis = [(L, 1, {L: 1}, Lmask) for L, Lmask in minimal]
     result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
     result._basis = basis
     return result
@@ -692,22 +666,30 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
 
 def _eliminate(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J of nonzero ideals by elimination: adjoin w, take w*I + (1-w)*J,
-    drop w. The w-free entries of the reduced block-order basis, in the same
-    order, are the reduced degrevlex basis of I ∩ J; the result keeps them,
-    and their primitive term dicts are its generators."""
+    drop w. The w-free entries of a block-order basis are a basis of I ∩ J.
+    Only they are reduced: a w-bearing lead divides no w-free term, and the
+    w-free leads sort first, so they reduce to exactly the w-free entries,
+    in the same order, of the reduced block-order basis, which are the
+    reduced degrevlex basis of I ∩ J. The result keeps them, and their
+    primitive term dicts are its generators."""
     ext = _extended_ring(I.ring)
     w = Polynomial.variable(ext, AUX_VARIABLE)
     one_minus_w = Polynomial.constant(ext, 1) - w
     gens = [w * _lift(g, ext) for g in I.generators]
     gens += [one_minus_w * _lift(g, ext) for g in J.generators]
-    basis = []
-    for de, dc, terms, dmask in _groebner_entries(gens, BlockElimination(1)):
-        if de[0] == 0:
-            if any(e[0] for e in terms):
+    order = BlockElimination(1)
+    kept = []
+    for entry in _groebner_entries(gens, order):
+        if entry[0][0] == 0:
+            if any(e[0] for e in entry[2]):
                 raise InternalInvariantError(
                     "w-free leading monomial but a w-bearing tail term"
                 )
-            basis.append((de[1:], dc, {e[1:]: c for e, c in terms.items()}, dmask >> 1))
+            kept.append(entry)
+    basis = [
+        (de[1:], dc, {e[1:]: c for e, c in terms.items()}, dmask >> 1)
+        for de, dc, terms, dmask in _reduced_entries(kept, order)
+    ]
     result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
     result._basis = basis
     return result

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Monomial, Ring, check_same_ring
+from .rings import Monomial, Ring, _exp_divides, check_same_ring
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ def minimalize(ring: Ring, monomials) -> tuple:
     """Unique minimal generating set of the ideal the monomials span.
 
     Divisibility-reduced, deduplicated, sorted ascending by
-    (degree, exponent vector).
+    (degree, exponent vector). Each input's ring is checked once, so the
+    pairwise scan compares bare exponent tuples.
     """
     mons = set()
     for m in monomials:
@@ -34,7 +35,8 @@ def minimalize(ring: Ring, monomials) -> tuple:
         mons.add(m)
     out = []
     for u in sorted(mons, key=lambda m: m.sort_key):
-        if not any(v.divides(u) for v in out):
+        e = u.exponents
+        if not any(_exp_divides(v.exponents, e) for v in out):
             out.append(u)
     return tuple(out)
 

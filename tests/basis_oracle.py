@@ -1,9 +1,62 @@
-"""Test oracle: re-check the post-conditions of a reduced Groebner basis."""
+"""Test oracle: re-check the post-conditions of a reduced Groebner basis.
+
+The division and S-polynomial helpers it uses, and the lex order of the
+lex tests, live here: the library itself never calls them.
+"""
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from sympow.groebner import buchberger, normal_form, s_polynomial
+from sympow.groebner import (
+    DEGREVLEX,
+    MonomialOrder,
+    Polynomial,
+    _integer_terms,
+    _prepare_divisors,
+    _reduce_dict,
+    _s_terms,
+    buchberger,
+)
+from sympow.rings import _exp_lcm
+
+
+@dataclass(frozen=True)
+class Lex(MonomialOrder):
+    def key(self, exps):
+        return tuple(exps)
+
+
+LEX = Lex()
+
+
+def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """Remainder of f on division by G (tried in list order).
+
+    f minus the result lies in the ideal spanned by G, and no remainder
+    term is divisible by any leading monomial of G. The division runs on
+    integer multiples of f and G; the result is the kernel's remainder
+    divided by its scale and by the denominator cleared from f, so it is
+    exact.
+    """
+    divisors = _prepare_divisors(G, order)
+    if not divisors:
+        return f
+    terms, den = _integer_terms(f.coeffs)
+    r, scale = _reduce_dict(terms, divisors, order)
+    return Polynomial(f.ring, {e: Fraction(c, scale * den) for e, c in r.items()})
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g for the leading terms lt under order."""
+    if not f or not g:
+        raise ValueError("the zero polynomial has no leading term")
+    a, b = _prepare_divisors((f, g), order)
+    terms = _s_terms(a, b, _exp_lcm(a[0], b[0]))
+    scale = Fraction(gcd(a[1], b[1]), a[1] * b[1])
+    return Polynomial(f.ring, {e: c * scale for e, c in terms.items()})
 
 
 def _divides(a, b):

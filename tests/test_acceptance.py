@@ -2,11 +2,11 @@
 
 Each test prints one ``ACCEPTANCE <n> ... PASS`` line (visible with
 ``pytest -s`` or in captured output on failure). A module fixture wraps
-the Buchberger kernel ``_groebner_entries`` (every run of it, public or
-internal), ``ideal_intersect`` and ``ideal_quotient`` (whose results carry
-their bases) so that every Groebner basis criteria 3-6 compute is recorded;
-criterion 8 re-verifies each record with the test oracle in
-``basis_oracle``.
+the Buchberger pair loop ``_groebner_entries`` (every run of it, public or
+internal, the eliminations included), ``ideal_intersect`` and
+``ideal_quotient`` (whose results carry their bases) so that every Groebner
+basis criteria 3-6 compute is recorded; criterion 8 re-verifies each record
+with the test oracle in ``basis_oracle``.
 """
 
 import json
@@ -69,9 +69,13 @@ def basis_log():
     run_quotient = gb.ideal_quotient
 
     def recording_kernel(generators, order):
+        # the pair loop returns a basis that is not yet reduced, and an
+        # elimination reduces only its w-free part; reduce all of it here so
+        # that every run is checked as the reduced basis of its generators
         generators = tuple(generators)
         entries = run_kernel(generators, order)
-        basis = tuple(gb._monic(generators[0].ring, e) for e in entries) if entries else ()
+        reduced = gb._reduced_entries(entries, order)
+        basis = tuple(gb._monic(generators[0].ring, e) for e in reduced)
         log.append(("buchberger", generators, basis, order))
         return entries
 
@@ -223,6 +227,8 @@ def test_criterion_8_groebner_self_checks(basis_log):
     assert {"buchberger", "ideal_quotient", "ideal_intersect"} <= set(paths), (
         "criteria 3-6 must run before this check"
     )
+    # the eliminations' kernel runs are recorded too, whole block-order bases
+    assert any(isinstance(order, gb.BlockElimination) for *_, order in recorded)
     for _, generators, basis, order in recorded:
         verify_basis(generators, basis, order, recompute=True)
 

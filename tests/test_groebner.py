@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from basis_oracle import verify_basis
+from basis_oracle import LEX, normal_form, s_polynomial, verify_basis
 from conftest import (
     mideal,
     mono,
@@ -23,7 +23,6 @@ import sympow.groebner as gb
 import sympow.rings as rings
 from sympow import (
     DEGREVLEX,
-    LEX,
     BlockElimination,
     MonomialIdeal,
     PolyIdeal,
@@ -38,8 +37,6 @@ from sympow import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
-    normal_form,
-    s_polynomial,
     symbolic_power_from_decomposition,
 )
 from sympow.counterexamples import builtin_case_A6, builtin_case_A7, colon_ideal, symbolic_power_from_primes
@@ -569,6 +566,102 @@ class TestIntersect:
             K = ideal_intersect(I, J)
             for g in K.generators:
                 assert I.member(g) and J.member(g)
+
+
+def eliminate_reducing_everything(I, J):
+    """The basis _eliminate used to hand over: reduce the whole block-order
+    basis, then keep its w-free entries with w dropped."""
+    ext = gb._extended_ring(I.ring)
+    w = Polynomial.variable(ext, gb.AUX_VARIABLE)
+    one_minus_w = Polynomial.constant(ext, 1) - w
+    gens = [w * gb._lift(g, ext) for g in I.generators]
+    gens += [one_minus_w * gb._lift(g, ext) for g in J.generators]
+    order = BlockElimination(1)
+    full = gb._reduced_entries(gb._groebner_entries(gens, order), order)
+    return [(de[1:], dc, {e[1:]: c for e, c in terms.items()}, dmask >> 1)
+            for de, dc, terms, dmask in full if de[0] == 0]
+
+
+def sum_by_list_scan(I, J):
+    gens = list(I.generators)
+    for g in J.generators:
+        if g not in gens:
+            gens.append(g)
+    return tuple(gens)
+
+
+def product_by_list_scan(I, J):
+    gens = []
+    for f in I.generators:
+        for g in J.generators:
+            fg = f * g
+            if fg not in gens:
+                gens.append(fg)
+    return tuple(gens)
+
+
+def lcm_basis_by_entries(I, J):
+    """The lcm branch's basis as it used to be built: a divisor entry for
+    every pairwise lcm, minimalized and ordered by _reduced_entries."""
+    lcms = {rings._exp_lcm(*g.coeffs, *h.coeffs) for g in I.generators for h in J.generators}
+    return gb._reduced_entries([gb._entry({L: 1}, DEGREVLEX) for L in lcms], DEGREVLEX)
+
+
+def same_ring_pairs(rng, count, draw):
+    pairs = []
+    while len(pairs) < count:
+        I, J = draw(rng), draw(rng)
+        if I.ring == J.ring:
+            pairs.append((I, J))
+    return pairs
+
+
+class TestKernelShortcuts:
+    """The shortcuts of the intersection and of sum/product give exactly what
+    the formulas they replace give, kept here as oracles."""
+
+    def test_eliminate_reduces_only_the_kept_entries_random(self):
+        for I, J in same_ring_pairs(seeded(412), 80, random_poly_ideal):
+            K = gb._eliminate(I, J)
+            expected = eliminate_reducing_everything(I, J)
+            assert K._basis == expected
+            assert K.generators == tuple(Polynomial(I.ring, t) for _, _, t, _ in expected)
+
+    @pytest.mark.parametrize("name", ["A6", "A7"])
+    def test_eliminate_reduces_only_the_kept_entries_square_fold(self, name):
+        case = CASES[name]()
+        inter = ideal_power(case.primes[0], 2)
+        for p in case.primes[1:]:
+            P = ideal_power(p, 2)
+            expected = eliminate_reducing_everything(inter, P)
+            inter = gb._eliminate(inter, P)
+            assert inter._basis == expected
+
+    def test_sum_and_product_keep_the_list_scan_order_random(self):
+        rng = seeded(413)
+        draws = (random_poly_ideal, lambda r: poly_ideal_of(random_monomial_ideal(r, 3, 4, 3)))
+        for k, (I, J) in enumerate(same_ring_pairs(rng, 60, lambda r: r.choice(draws)(r))):
+            if k % 3 == 0:  # repeated generators, within I and across I and J
+                I = PolyIdeal(I.ring, I.generators + J.generators[:1] + I.generators[:1])
+            assert ideal_sum(I, J).generators == sum_by_list_scan(I, J)
+            assert ideal_product(I, J).generators == product_by_list_scan(I, J)
+
+    def test_product_with_repeated_products(self, R3):
+        I, J = pideal(R3, "x", "y", "x"), pideal(R3, "y", "x", "x - y")
+        assert ideal_product(I, J).generators == product_by_list_scan(I, J)
+        assert len(ideal_product(I, J).generators) == 5
+
+    def test_lcm_branch_matches_the_entry_formula_random(self):
+        rng = seeded(414)
+
+        def draw(r):
+            K = random_monomial_ideal(r, max_vars=5, max_gens=5, max_degree=4)
+            # monomial generators with any coefficient take the lcm branch
+            return PolyIdeal(K.ring, [Polynomial.from_monomial(g, r.choice((1, -2, 3)))
+                                      for g in K.generators])
+
+        for I, J in same_ring_pairs(rng, 100, draw):
+            assert ideal_intersect(I, J)._basis == lcm_basis_by_entries(I, J)
 
 
 class TestQuotient:

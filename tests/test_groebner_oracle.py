@@ -8,14 +8,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from basis_oracle import verify_basis  # noqa: E402
+from basis_oracle import LEX, verify_basis  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import sympow.groebner as gb  # noqa: E402
 from sympow import (  # noqa: E402
     DEGREVLEX,
-    LEX,
     BlockElimination,
     PolyIdeal,
     Polynomial,

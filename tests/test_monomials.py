@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import mideal, mono, random_monomial, random_monomial_ideal, seeded
 
-from sympow import Monomial, MonomialIdeal, Ring, RingMismatchError
+from sympow import Monomial, MonomialIdeal, Ring, RingMismatchError, minimalize
 
 
 @pytest.fixture
@@ -78,6 +78,22 @@ class TestMinimalize:
         padded = six + ["x^3*z^2", "x^2*z^2*t", "x*y^3*z^2*t^3"]
         assert mideal(R4, *padded) == mideal(R4, *six)
         assert len(mideal(R4, *padded).generators) == 6
+
+    @pytest.mark.parametrize("where", ["first", "last", "divisible"])
+    @pytest.mark.parametrize("foreign", [Ring(("x", "y")), Ring(("a", "b", "c", "d"))],
+                             ids=["fewer-vars", "same-nvars"])
+    def test_foreign_ring_monomial_is_refused(self, R4, foreign, where):
+        # the ring is checked once per input, not per divisibility test, so a
+        # foreign monomial must be caught wherever it sits, even when a
+        # same-ring generator divides its exponents and the scan would drop it
+        stranger = foreign.monomial((1, 1) + (0,) * (foreign.nvars - 2))
+        own = [mono(R4, "x*z"), mono(R4, "y^2"), mono(R4, "z*t")]
+        gens = {"first": [stranger] + own, "last": own + [stranger],
+                "divisible": [mono(R4, "x")] + own + [stranger]}[where]
+        with pytest.raises(RingMismatchError, match="different rings"):
+            minimalize(R4, gens)
+        with pytest.raises(RingMismatchError, match="different rings"):
+            MonomialIdeal(R4, gens)
 
     def test_idempotent_random(self):
         rng = seeded(102)
