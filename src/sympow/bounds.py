@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decomp import symbolic_power
 from .ideals import MonomialIdeal
@@ -72,21 +71,13 @@ def bound_report(I: MonomialIdeal, n: int, d_in: int, kind: str, D: int | None =
 
 @dataclass(frozen=True)
 class GrowthSequence:
-    """(n, d(I^(n))) for n = 1..N plus linearity diagnostics.
-
-    ``is_linear_within`` holds iff max |d_n - n*d_1| <= slack over the
-    computed entries; ``slope_estimate`` is the exact least-squares slope
-    of a line through the origin.
-    """
+    """(n, d(I^(n))) for n = 1..N."""
 
     entries: tuple
-    slope_estimate: Fraction | None
-    is_linear_within: bool
-    slack: int
     complete: bool  # always true until a budget stop can cut a sequence short
 
 
-def degree_sequence(I: MonomialIdeal, N: int, slack: int = 0) -> GrowthSequence:
+def degree_sequence(I: MonomialIdeal, N: int) -> GrowthSequence:
     """Degrees of the symbolic powers up to N.
 
     Cost grows quickly with N (each entry intersects n-th powers of all
@@ -99,10 +90,4 @@ def degree_sequence(I: MonomialIdeal, N: int, slack: int = 0) -> GrowthSequence:
         raise ValueError("need N >= 1")
     entries = [(n, symbolic_power(I, n).degree_stats().max_gen_degree)
                for n in range(1, N + 1)]
-    slope = None
-    linear = False
-    if entries:
-        slope = Fraction(sum(n * d for n, d in entries), sum(n * n for n, _ in entries))
-        d1 = entries[0][1]
-        linear = max(abs(d - n * d1) for n, d in entries) <= slack
-    return GrowthSequence(tuple(entries), slope, linear, slack, True)
+    return GrowthSequence(tuple(entries), True)

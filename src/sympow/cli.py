@@ -186,15 +186,11 @@ def _cmd_growth(args) -> int:
     _, poly = _load_ideal(args)
     ideal = monomial_ideal_from_poly(poly)
     seq = degree_sequence(ideal, args.N)
-    slope = None if seq.slope_estimate is None else str(seq.slope_estimate)
     if args.format == "json":
         payload = {
             "ideal": args.ideal,
             "N": args.N,
             "entries": [[n, d] for n, d in seq.entries],
-            "slope_estimate": slope,
-            "is_linear_within": seq.is_linear_within,
-            "slack": seq.slack,
             "complete": seq.complete,
         }
         print(json.dumps(payload, indent=2))
@@ -202,8 +198,7 @@ def _cmd_growth(args) -> int:
         print(f"ideal {args.ideal}, N = {args.N}")
         for n, d in seq.entries:
             print(f"  n = {n}: d = {d}")
-        print(f"slope estimate = {slope}, linear within slack {seq.slack}: "
-              f"{seq.is_linear_within}, complete: {seq.complete}")
+        print(f"complete: {seq.complete}")
     return EXIT_OK
 
 

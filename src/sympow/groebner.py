@@ -17,7 +17,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import neg, sub
 
-from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _support, check_same_ring
+from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _minimal, _support, check_same_ring
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
 
@@ -427,31 +427,18 @@ def _monic(ring, entry):
     return Polynomial(ring, {e: Fraction(c, dc) for e, c in terms.items()})
 
 
-def _minimal_lcms(candidates):
-    """The (exps, support mask) candidates, of distinct exps, that no other
-    candidate divides, in ascending degree. A proper divisor has a smaller
-    degree, so each candidate is tested against the survivors before it."""
-    minimal = []
-    for L, Lmask in sorted(candidates, key=lambda c: sum(c[0])):
-        if not any(not mmask & ~Lmask and _exp_divides(m, L) for m, mmask in minimal):
-            minimal.append((L, Lmask))
-    return minimal
-
-
 def _reduced_entries(divisors, order):
     """Reduced basis, largest lead first, from the divisor entries of a Groebner basis.
 
     Each minimal entry's tail is reduced against all minimal entries: its
     own leading monomial is bigger than every tail term, so never divides one.
     The lead, at the kernel's scale, rejoins the reduced tail and the sum is
-    made primitive, so each entry's term dict is canonical.
+    made primitive, so each entry's term dict is canonical. The leads of a
+    basis are pairwise distinct, so selecting the entries by lead is exact.
     """
     key = order.key
-    minimal = []
-    for entry in sorted(divisors, key=lambda d: key(d[0])):
-        de, emask = entry[0], entry[3]
-        if not any(not m[3] & ~emask and _exp_divides(m[0], de) for m in minimal):
-            minimal.append(entry)
+    leads = set(_minimal(d[0] for d in divisors))
+    minimal = sorted((d for d in divisors if d[0] in leads), key=lambda d: key(d[0]))
     out = []
     for de, dc, terms, dmask in reversed(minimal):
         tail, scale = _reduce_dict(
@@ -522,12 +509,10 @@ def _groebner_entries(gens, order):
             first, coprime = groups.get(L, (j, False))
             groups[L] = (first, coprime or not masks[j] & dmask)
         # criterion M keeps the minimal lcms; F keeps one pair of each
-        for L, Lmask in _minimal_lcms(
-            (L, masks[first] | dmask) for L, (first, _) in groups.items()
-        ):
+        for L in _minimal(groups):
             j, coprime = groups[L]
             if not coprime:
-                pending[j, new] = L, Lmask
+                pending[j, new] = L, masks[j] | dmask
                 heappush(heap, (sum(L), key(L), j, new))
         active[:] = [
             j for j in active if dmask & ~masks[j] or not _exp_divides(de, lms[j])
@@ -656,9 +641,8 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
         return _eliminate(I, J)
     lcms = {_exp_lcm(*g.coeffs, *h.coeffs) for g in I.generators for h in J.generators}
-    minimal = _minimal_lcms((L, _support(L)) for L in lcms)
-    minimal.sort(key=lambda c: DEGREVLEX.key(c[0]), reverse=True)
-    basis = [(L, 1, {L: 1}, Lmask) for L, Lmask in minimal]
+    minimal = sorted(_minimal(lcms), key=DEGREVLEX.key, reverse=True)
+    basis = [(L, 1, {L: 1}, _support(L)) for L in minimal]
     result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
     result._basis = basis
     return result

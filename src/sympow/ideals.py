@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Monomial, Ring, _exp_divides, check_same_ring
+from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _minimal, check_same_ring
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,15 @@ def minimalize(ring: Ring, monomials) -> tuple:
     """Unique minimal generating set of the ideal the monomials span.
 
     Divisibility-reduced, deduplicated, sorted ascending by
-    (degree, exponent vector). Each input's ring is checked once, so the
-    pairwise scan compares bare exponent tuples.
+    (degree, exponent vector). Each input's ring is checked once, and the
+    selection runs on bare exponent tuples.
     """
-    mons = set()
+    exps = []
     for m in monomials:
         if m.ring != ring:
             check_same_ring(ring.one(), m)
-        mons.add(m)
-    out = []
-    for u in sorted(mons, key=lambda m: m.sort_key):
-        e = u.exponents
-        if not any(_exp_divides(v.exponents, e) for v in out):
-            out.append(u)
-    return tuple(out)
+        exps.append(m.exponents)
+    return tuple(Monomial(ring, e) for e in _minimal(exps))
 
 
 class MonomialIdeal:
@@ -49,6 +44,15 @@ class MonomialIdeal:
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
         self.generators = minimalize(ring, generators)
+
+    @classmethod
+    def _from_exponents(cls, ring: Ring, exps) -> MonomialIdeal:
+        """The ideal of exponent tuples of the ring, built by the operations:
+        a Monomial is made for each minimal tuple only."""
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal.generators = tuple(Monomial(ring, e) for e in _minimal(exps))
+        return ideal
 
     @classmethod
     def zero(cls, ring: Ring) -> MonomialIdeal:
@@ -76,21 +80,27 @@ class MonomialIdeal:
 
     def contains(self, u: Monomial) -> bool:
         check_same_ring(self, u)
-        return any(g.divides(u) for g in self.generators)
+        e = u.exponents
+        return any(_exp_divides(g.exponents, e) for g in self.generators)
 
     def issubset(self, other: MonomialIdeal) -> bool:
+        check_same_ring(self, other)
         return all(other.contains(g) for g in self.generators)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Set-theoretic intersection via pairwise lcms of the generators."""
         check_same_ring(self, other)
-        gens = [u.lcm(v) for u in self.generators for v in other.generators]
-        return MonomialIdeal(self.ring, gens)
+        theirs = [v.exponents for v in other.generators]
+        return MonomialIdeal._from_exponents(
+            self.ring, [_exp_lcm(u.exponents, v) for u in self.generators for v in theirs]
+        )
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         check_same_ring(self, other)
-        gens = [u * v for u in self.generators for v in other.generators]
-        return MonomialIdeal(self.ring, gens)
+        theirs = [v.exponents for v in other.generators]
+        return MonomialIdeal._from_exponents(
+            self.ring, [_exp_mul(u.exponents, v) for u in self.generators for v in theirs]
+        )
 
     def power(self, n: int) -> MonomialIdeal:
         """I**n by repeated product; n = 0 gives the unit ideal by convention."""
@@ -104,18 +114,27 @@ class MonomialIdeal:
     __pow__ = power
 
     def quotient(self, u: Monomial) -> MonomialIdeal:
-        """(I : u), computed generator by generator."""
-        return MonomialIdeal(self.ring, [g.colon(u) for g in self.generators])
+        """(I : u), computed generator by generator: exponentwise max(g - u, 0)."""
+        check_same_ring(self, u)
+        return MonomialIdeal._from_exponents(
+            self.ring,
+            [tuple(a - b if a > b else 0 for a, b in zip(g.exponents, u.exponents))
+             for g in self.generators],
+        )
 
     def saturate(self, u: Monomial) -> MonomialIdeal:
         """(I : u^inf): each generator with the variables of u set to 0 (u inverted)."""
         check_same_ring(self, u)
-        gens = [Monomial(self.ring, tuple(0 if b else a for a, b in zip(g.exponents, u.exponents)))
-                for g in self.generators]
-        return MonomialIdeal(self.ring, gens)
+        return MonomialIdeal._from_exponents(
+            self.ring,
+            [tuple(0 if b else a for a, b in zip(g.exponents, u.exponents))
+             for g in self.generators],
+        )
 
     def radical(self) -> MonomialIdeal:
-        return MonomialIdeal(self.ring, [g.radical() for g in self.generators])
+        return MonomialIdeal._from_exponents(
+            self.ring, [tuple(1 if a else 0 for a in g.exponents) for g in self.generators]
+        )
 
     def degree_stats(self) -> DegreeStats:
         if not self.generators:

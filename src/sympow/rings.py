@@ -18,6 +18,17 @@ def _exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def _minimal(exps):
+    """The distinct exponent tuples that no other one divides, in ascending
+    (degree, exponents) order. A proper divisor has a smaller degree, so each
+    tuple is tested only against the survivors before it."""
+    out = []
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(_exp_divides(m, e) for m in out):
+            out.append(e)
+    return out
+
+
 def _support(exps):
     """Bitmask of the variables with a positive exponent."""
     mask = 0
@@ -120,9 +131,6 @@ class Monomial:
         # canonical order: ascending degree, then exponent-vector lex
         return (self.degree, self.exponents)
 
-    def is_unit(self) -> bool:
-        return self.degree == 0
-
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 
@@ -140,22 +148,9 @@ class Monomial:
         check_same_ring(self, other)
         return Monomial(self.ring, _exp_lcm(self.exponents, other.exponents))
 
-    def colon(self, other: Monomial) -> Monomial:
-        """Generator-level quotient: exponentwise max(self - other, 0)."""
-        check_same_ring(self, other)
-        return Monomial(
-            self.ring,
-            tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)),
-        )
-
     def __mul__(self, other: Monomial) -> Monomial:
         check_same_ring(self, other)
         return Monomial(self.ring, _exp_mul(self.exponents, other.exponents))
-
-    def __pow__(self, n: int) -> Monomial:
-        if n < 0:
-            raise ValueError("monomial powers need n >= 0")
-        return Monomial(self.ring, tuple(e * n for e in self.exponents))
 
     def __eq__(self, other):
         return (

@@ -48,7 +48,7 @@ BOUNDS_SCHEMA = {
 
 GROWTH_SCHEMA = {
     "type": "object",
-    "required": ["ideal", "N", "entries", "slope_estimate", "is_linear_within", "slack", "complete"],
+    "required": ["ideal", "N", "entries", "complete"],
     "properties": {
         "ideal": {"type": "string"},
         "N": {"type": "integer"},
@@ -57,9 +57,6 @@ GROWTH_SCHEMA = {
             "items": {"type": "array", "items": {"type": "integer"},
                       "minItems": 2, "maxItems": 2},
         },
-        "slope_estimate": {"type": ["string", "null"]},
-        "is_linear_within": {"type": "boolean"},
-        "slack": {"type": "integer"},
         "complete": {"type": "boolean"},
     },
 }

@@ -324,8 +324,15 @@ class TestGrowthCommand:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, GROWTH_SCHEMA)
         assert payload["entries"] == [[1, 2], [2, 4], [3, 6]]
-        assert payload["slope_estimate"] == "2"
-        assert payload["is_linear_within"] and payload["complete"]
+        assert payload["complete"]
+        assert set(payload) == {"ideal", "N", "entries", "complete"}
+
+    def test_principal_growth_text(self, tmp_path, capsys):
+        path = tmp_path / "p.ideal"
+        path.write_text("ring: x y\nideal P: x*y\n")
+        assert main(["growth", "--file", str(path), "--ideal", "P", "--N", "2"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "ideal P, N = 2", "  n = 1: d = 2", "  n = 2: d = 4", "complete: True"]
 
     def test_recorded_growth(self, ex31_path, capsys):
         code = main(["growth", "--file", ex31_path, "--ideal", "I", "--N", "2",

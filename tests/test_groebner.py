@@ -20,6 +20,7 @@ from conftest import (
 )
 
 import sympow.groebner as gb
+import sympow.ideals as ideals
 import sympow.rings as rings
 from sympow import (
     DEGREVLEX,
@@ -113,8 +114,9 @@ class TestExponentHelpers:
 
     def test_helpers_match_definitions(self):
         # one definition each, in rings, shared by both engines
-        for name in ("_exp_mul", "_exp_divides", "_exp_lcm", "_support"):
+        for name in ("_exp_mul", "_exp_divides", "_exp_lcm", "_support", "_minimal"):
             assert getattr(gb, name) is getattr(rings, name)
+        assert ideals._minimal is rings._minimal
         for a, b in self.pairs():
             mul = tuple(x + y for x, y in zip(a, b))
             divides = all(x <= y for x, y in zip(a, b))
@@ -140,6 +142,34 @@ class TestExponentHelpers:
             coprime += disjoint
             assert disjoint == (sum(gb._exp_lcm(a, b)) == sum(a) + sum(b))
         assert divisible and coprime  # both branches were exercised
+
+    @staticmethod
+    def minimal_by_pairs(exps):
+        """The definition: the distinct tuples with no other tuple dividing
+        them, in ascending (degree, exponents) order."""
+        distinct = set(exps)
+        keep = [e for e in distinct
+                if not any(d != e and all(x <= y for x, y in zip(d, e)) for d in distinct)]
+        return sorted(keep, key=lambda e: (sum(e), e))
+
+    def test_minimal_matches_definition(self):
+        rng = seeded(415)
+        cases = [[], [(0, 0, 0)], [(0, 2), (0, 2), (1, 0)]]
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            exps = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                    for _ in range(rng.randint(0, 12))]
+            if exps and rng.random() < 0.3:  # duplicates and multiples
+                e = rng.choice(exps)
+                exps += [e, tuple(x + rng.randint(0, 1) for x in e)]
+            if rng.random() < 0.1:
+                exps.append((0,) * n)
+            rng.shuffle(exps)
+            cases.append(exps)
+        for exps in cases:
+            assert rings._minimal(exps) == self.minimal_by_pairs(exps)
+            assert rings._minimal(iter(exps)) == self.minimal_by_pairs(exps)
+        assert rings._minimal([(2, 0), (0, 0), (0, 3)]) == [(0, 0)]
 
     def test_keys_match_reference(self):
         for a, b in self.pairs():
@@ -662,6 +692,30 @@ class TestKernelShortcuts:
 
         for I, J in same_ring_pairs(rng, 100, draw):
             assert ideal_intersect(I, J)._basis == lcm_basis_by_entries(I, J)
+
+
+class TestPairLoopLeads:
+    """_reduced_entries selects the minimal entries by lead, which is exact
+    only when the leads it is handed are pairwise distinct."""
+
+    def test_pair_loop_leads_are_distinct_random(self):
+        rng = seeded(416)
+        for _ in range(40):
+            I = random_poly_ideal(rng)
+            for order in (DEGREVLEX, BlockElimination(1)):
+                entries = gb._groebner_entries(I.generators, order)
+                assert len({d[0] for d in entries}) == len(entries)
+
+    def test_divided_leads_are_distinct_random(self):
+        rng = seeded(417)
+        for _ in range(40):
+            I = random_poly_ideal(rng)
+            f = random_polynomial(rng, I.ring)
+            if f.is_zero():
+                continue
+            gens = ideal_quotient(I, f).generators
+            entries = gb._prepare_divisors(gens, DEGREVLEX)
+            assert len({d[0] for d in entries}) == len(entries)
 
 
 class TestQuotient:

@@ -276,6 +276,64 @@ class TestContainsStatsRadical:
         assert mideal(R4, "x", "y^2").power(2).radical() == mideal(R4, "x", "y")
 
 
+def colon(g, u):
+    """Generator-level quotient: exponentwise max(g - u, 0)."""
+    return g.ring.monomial(tuple(max(a - b, 0) for a, b in zip(g.exponents, u.exponents)))
+
+
+def canonical(gens):
+    return tuple(sorted(naive_minimal(gens), key=lambda m: m.sort_key))
+
+
+class TestOperationsOnTuples:
+    """The ideal operations form candidate exponent tuples directly; the
+    Monomial formulas they replace, minimalized by the pairwise oracle,
+    are kept here to check them."""
+
+    def test_operations_match_monomial_formulas_random(self):
+        rng = seeded(109)
+        checked = 0
+        while checked < 150:
+            I, J = random_monomial_ideal(rng), random_monomial_ideal(rng)
+            if I.ring != J.ring:
+                continue
+            checked += 1
+            u = random_monomial(rng, I.ring, 4)
+            assert I.intersect(J).generators == canonical(
+                [g.lcm(h) for g in I.generators for h in J.generators])
+            assert (I * J).generators == canonical(
+                [g * h for g in I.generators for h in J.generators])
+            assert I.quotient(u).generators == canonical([colon(g, u) for g in I.generators])
+            assert I.radical().generators == canonical([g.radical() for g in I.generators])
+            current = I  # saturation by its definition, iterated colons
+            while True:
+                nxt = MonomialIdeal(I.ring, [colon(g, u) for g in current.generators])
+                if nxt == current:
+                    break
+                current = nxt
+            assert I.saturate(u).generators == current.generators
+
+    @pytest.mark.parametrize("op", ["intersect", "__mul__", "issubset"])
+    @pytest.mark.parametrize("theirs", ["zero", "unit", "nonzero"])
+    @pytest.mark.parametrize("ours", ["zero", "unit", "nonzero"])
+    def test_foreign_ideal_is_refused(self, ours, theirs, op):
+        R, S = Ring(("x", "y")), Ring(("a", "b", "c"))
+        make = {"zero": MonomialIdeal.zero, "unit": MonomialIdeal.unit,
+                "nonzero": lambda ring: MonomialIdeal.from_variables(ring, (0, 1))}
+        with pytest.raises(RingMismatchError, match="different rings"):
+            getattr(make[ours](R), op)(make[theirs](S))
+
+    @pytest.mark.parametrize("op", ["quotient", "saturate", "contains"])
+    @pytest.mark.parametrize("u", ["1", "a", "a*b^2*c"])
+    @pytest.mark.parametrize("ours", ["zero", "unit", "nonzero"])
+    def test_foreign_monomial_is_refused(self, ours, u, op):
+        R, S = Ring(("x", "y")), Ring(("a", "b", "c"))
+        I = {"zero": MonomialIdeal.zero(R), "unit": MonomialIdeal.unit(R),
+             "nonzero": mideal(R, "x^2", "x*y")}[ours]
+        with pytest.raises(RingMismatchError, match="different rings"):
+            getattr(I, op)(mono(S, u))
+
+
 class TestDeterminism:
     def test_shuffled_generators_same_output(self):
         rng = seeded(108)
