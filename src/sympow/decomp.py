@@ -62,6 +62,10 @@ class Decomposition:
 
     components: tuple
 
+    def __post_init__(self):
+        if not self.components:
+            raise ValueError("need at least one decomposition component")
+
     def intersection(self) -> MonomialIdeal:
         return _intersect_fold(list(self.components))
 
@@ -178,9 +182,7 @@ def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:
     """Intersection of the n-th powers of caller-supplied components."""
-    components = list(components)
-    if not components:
-        raise ValueError("need at least one decomposition component")
+    components = Decomposition(tuple(components)).components
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
     for c in components[1:]:

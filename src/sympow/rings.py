@@ -21,22 +21,30 @@ def _exp_lcm(a, b):
 def _minimal(exps):
     """The distinct exponent tuples that no other one divides, in ascending
     (degree, exponents) order. A proper divisor has a smaller degree, so each
-    tuple is tested only against the survivors before it."""
+    tuple is tested only against the survivors before it.
+
+    Each survivor keeps its support bitmask beside it, and the exponents of
+    a pair are compared only when the survivor's support lies inside the
+    tuple's. The prefilter is exact: a divisor's support lies inside its
+    multiple's, so it skips only pairs that cannot divide, and the output
+    does not change."""
     out = []
     for e in sorted(set(exps), key=lambda e: (sum(e), e)):
-        if not any(_exp_divides(m, e) for m in out):
-            out.append(e)
-    return out
+        outside = ~_support(e)
+        for m, mask in out:
+            if not mask & outside and all(map(le, m, e)):
+                break
+        else:
+            out.append((e, ~outside))
+    return [m for m, _ in out]
 
 
 def _support(exps):
     """Bitmask of the variables with a positive exponent."""
     mask = 0
-    bit = 1
-    for x in exps:
+    for i, x in enumerate(exps):
         if x:
-            mask |= bit
-        bit <<= 1
+            mask |= 1 << i
     return mask
 
 

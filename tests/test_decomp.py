@@ -1,11 +1,12 @@
 """Decompositions and the three symbolic-power paths, cross-checked."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from conftest import mideal, mono, random_squarefree_ideal, seeded
+from conftest import mideal, mono, random_monomial_ideal, random_squarefree_ideal, seeded
 
 from sympow import (
+    Decomposition,
     MonomialIdeal,
     NotSquarefreeError,
     Ring,
@@ -20,6 +21,25 @@ from sympow import (
     symbolic_power_squarefree,
 )
 from sympow.cases import case_ex31, case_ex32
+
+
+def colon_primes(exps):
+    """The primes (I : u) over the monomials u outside I with u <= lcm(I)
+    exponentwise, by hand from the exponent tuples of I's generators.
+
+    (I : u) has the generators max(g - u, 0); it is the prime spanned by
+    V, the variables among them, exactly when it is proper and every
+    generator is divisible by a variable of V."""
+    primes = set()
+    top = [max(col) for col in zip(*exps)]
+    for u in product(*(range(a + 1) for a in top)):
+        quotient = [tuple(max(g - x, 0) for g, x in zip(e, u)) for e in exps]
+        if any(not any(q) for q in quotient):  # u in I
+            continue
+        V = {q.index(1) for q in quotient if sum(q) == 1}
+        if all(any(q[i] for i in V) for q in quotient):
+            primes.add(tuple(sorted(V)))
+    return primes
 
 
 def brute_minimal_covers(edges, nvars):
@@ -152,6 +172,17 @@ class TestAssociatedPrimes:
         names = {p.names for p in associated_primes(I)}
         assert names == {("x", "y"), ("z", "t"), ("x", "z")}
 
+    def test_against_colon_enumeration(self):
+        rng = seeded(206)
+        checked = 0
+        while checked < 40:
+            I = random_monomial_ideal(rng, max_vars=4, max_gens=5, max_degree=4)
+            if I.ring.nvars < 3 or I.is_squarefree() or not I.is_proper():
+                continue
+            got = {p.variables for p in associated_primes(I)}
+            assert got == colon_primes([g.exponents for g in I.generators])
+            checked += 1
+
 
 class TestSymbolicPowerPaths:
     def test_principal_squarefree(self, R2):
@@ -187,6 +218,10 @@ class TestSymbolicPowerPaths:
     def test_decomposition_needs_components(self):
         with pytest.raises(ValueError):
             symbolic_power_from_decomposition([], 2)
+
+    def test_empty_decomposition_refused(self):
+        with pytest.raises(ValueError, match="need at least one decomposition component"):
+            Decomposition(())
 
     def test_saturation_of_variable_prime_is_power(self):
         R = Ring(("x", "y", "z"))

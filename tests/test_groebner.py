@@ -154,7 +154,14 @@ class TestExponentHelpers:
 
     def test_minimal_matches_definition(self):
         rng = seeded(415)
-        cases = [[], [(0, 0, 0)], [(0, 2), (0, 2), (1, 0)]]
+        cases = [
+            [], [(0, 0, 0)], [(0, 2), (0, 2), (1, 0)],
+            # the support mask and the exponents disagree
+            [(1, 2), (2, 1), (2, 2)],  # equal supports
+            [(2, 0, 1), (1, 1, 1)], [(2, 0, 1), (1, 1, 2)],  # support inside, no divisor
+            [(1, 0, 0), (0, 2, 3), (0, 0, 1)],  # disjoint supports
+            [(3, 1), (0, 0), (1, 0)],  # the zero tuple divides all
+        ]
         for _ in range(300):
             n = rng.randint(1, 8)
             exps = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
