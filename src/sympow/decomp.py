@@ -3,8 +3,8 @@
 Symbolic powers can be computed two independent ways that must agree:
 
 * ``symbolic_power_from_decomposition`` -- intersect the n-th powers of
-  primary components; ``symbolic_power_squarefree`` runs it over the
-  computed minimal primes (squarefree input only);
+  primary components by the shared kernel `rings._intersection`;
+  ``symbolic_power_squarefree`` runs it over the minimal primes (squarefree input only);
 * ``symbolic_power_saturation`` -- saturate I**n at the product of the
   variables outside each prime, then intersect.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring, check_same_ring
+from .rings import Monomial, Ring, _exp_lcm, _minimal, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -77,7 +77,7 @@ def _require_proper_nonzero(I: MonomialIdeal):
         raise ValueError("the unit ideal has no decomposition")
 
 
-def _intersect_fold(ideals) -> MonomialIdeal:
+def _intersect_fold(ideals, meet=MonomialIdeal.intersect) -> MonomialIdeal:
     # ascending generator count keeps the intermediate ideals small
     parts = sorted(
         ideals,
@@ -85,8 +85,15 @@ def _intersect_fold(ideals) -> MonomialIdeal:
     )
     result = parts[0]
     for J in parts[1:]:
-        result = result.intersect(J)
+        result = meet(result, J)
     return result
+
+
+def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I ∩ J by all pairwise lcms: `_drop_redundant` uses it until the bench stops leaking."""
+    theirs = [v.exponents for v in J.generators]
+    lcms = [_exp_lcm(u.exponents, v) for u in I.generators for v in theirs]
+    return MonomialIdeal._from_minimal(I.ring, _minimal(lcms))
 
 
 def minimal_variable_primes(I: MonomialIdeal) -> list:
@@ -154,7 +161,7 @@ def _drop_redundant(components):
     i = 0
     while i < len(comps):
         others = comps[:i] + comps[i + 1 :]
-        if others and _intersect_fold(others).issubset(comps[i]):
+        if others and _intersect_fold(others, _all_lcms).issubset(comps[i]):
             comps.pop(i)
             continue
         i += 1

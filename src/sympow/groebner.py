@@ -17,7 +17,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import neg, sub
 
-from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _minimal, _support, check_same_ring
+from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _intersection, _minimal, _support, check_same_ring
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
 
@@ -632,16 +632,16 @@ def _lift(f: Polynomial, ext: Ring) -> Polynomial:
 
 
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    """I ∩ J. When every generator of both ideals has one term, the pairwise
-    lcms span it (Miller-Sturmfels, Prop. 1.14) and their minimal monic
+    """I ∩ J. When every generator of both ideals has one term, the kernel
+    `rings._intersection` gives the minimal tuples spanning it, whose monic
     entries are its reduced degrevlex basis; any other input is eliminated."""
     check_same_ring(I, J)
     if I.is_zero() or J.is_zero():
         return PolyIdeal.zero(I.ring)
     if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
         return _eliminate(I, J)
-    lcms = {_exp_lcm(*g.coeffs, *h.coeffs) for g in I.generators for h in J.generators}
-    minimal = sorted(_minimal(lcms), key=DEGREVLEX.key, reverse=True)
+    a, b = ([e for g in K.generators for e in g.coeffs] for K in (I, J))
+    minimal = sorted(_intersection(a, b), key=DEGREVLEX.key, reverse=True)
     basis = [(L, 1, {L: 1}, _support(L)) for L in minimal]
     result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
     result._basis = basis

@@ -1,15 +1,15 @@
 """Monomial ideals in canonical minimal-generator form.
 
-Every constructor funnels through :func:`minimalize`, so two equal ideals
-always carry the identical generator tuple and plain ``==`` is exact
-ideal equality.
+Every constructor and operation ends in `rings._minimal`, so two equal
+ideals always carry the identical generator tuple and plain ``==`` is exact
+ideal equality. `intersect` runs `rings._intersection`, the kernel both engines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _minimal, check_same_ring
+from .rings import Monomial, Ring, _exp_mul, _has_divisor, _intersection, _minimal, _support, check_same_ring
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,10 @@ class MonomialIdeal:
         self.generators = minimalize(ring, generators)
 
     @classmethod
-    def _from_exponents(cls, ring: Ring, exps) -> MonomialIdeal:
-        """The ideal of exponent tuples of the ring, built by the operations:
-        a Monomial is made for each minimal tuple only."""
+    def _from_minimal(cls, ring: Ring, exps) -> MonomialIdeal:
         ideal = cls.__new__(cls)
         ideal.ring = ring
-        ideal.generators = tuple(Monomial(ring, e) for e in _minimal(exps))
+        ideal.generators = tuple(Monomial(ring, e) for e in exps)
         return ideal
 
     @classmethod
@@ -80,26 +78,26 @@ class MonomialIdeal:
 
     def contains(self, u: Monomial) -> bool:
         check_same_ring(self, u)
-        e = u.exponents
-        return any(_exp_divides(g.exponents, e) for g in self.generators)
+        gens = [(g.exponents, _support(g.exponents)) for g in self.generators]
+        return _has_divisor(u.exponents, gens)
 
     def issubset(self, other: MonomialIdeal) -> bool:
         check_same_ring(self, other)
-        return all(other.contains(g) for g in self.generators)
+        theirs = [(g.exponents, _support(g.exponents)) for g in other.generators]
+        return all(_has_divisor(g.exponents, theirs) for g in self.generators)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Set-theoretic intersection via pairwise lcms of the generators."""
+        """Intersection by the shared kernel `rings._intersection`."""
         check_same_ring(self, other)
-        theirs = [v.exponents for v in other.generators]
-        return MonomialIdeal._from_exponents(
-            self.ring, [_exp_lcm(u.exponents, v) for u in self.generators for v in theirs]
-        )
+        return MonomialIdeal._from_minimal(self.ring, _intersection(
+            [u.exponents for u in self.generators], [v.exponents for v in other.generators]
+        ))
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         check_same_ring(self, other)
         theirs = [v.exponents for v in other.generators]
-        return MonomialIdeal._from_exponents(
-            self.ring, [_exp_mul(u.exponents, v) for u in self.generators for v in theirs]
+        return MonomialIdeal._from_minimal(
+            self.ring, _minimal([_exp_mul(u.exponents, v) for u in self.generators for v in theirs])
         )
 
     def power(self, n: int) -> MonomialIdeal:
@@ -116,24 +114,24 @@ class MonomialIdeal:
     def quotient(self, u: Monomial) -> MonomialIdeal:
         """(I : u), computed generator by generator: exponentwise max(g - u, 0)."""
         check_same_ring(self, u)
-        return MonomialIdeal._from_exponents(
+        return MonomialIdeal._from_minimal(
             self.ring,
-            [tuple(a - b if a > b else 0 for a, b in zip(g.exponents, u.exponents))
-             for g in self.generators],
+            _minimal([tuple(a - b if a > b else 0 for a, b in zip(g.exponents, u.exponents))
+                      for g in self.generators]),
         )
 
     def saturate(self, u: Monomial) -> MonomialIdeal:
         """(I : u^inf): each generator with the variables of u set to 0 (u inverted)."""
         check_same_ring(self, u)
-        return MonomialIdeal._from_exponents(
+        return MonomialIdeal._from_minimal(
             self.ring,
-            [tuple(0 if b else a for a, b in zip(g.exponents, u.exponents))
-             for g in self.generators],
+            _minimal([tuple(0 if b else a for a, b in zip(g.exponents, u.exponents))
+                      for g in self.generators]),
         )
 
     def radical(self) -> MonomialIdeal:
-        return MonomialIdeal._from_exponents(
-            self.ring, [tuple(1 if a else 0 for a in g.exponents) for g in self.generators]
+        return MonomialIdeal._from_minimal(
+            self.ring, _minimal([tuple(1 if a else 0 for a in g.exponents) for g in self.generators])
         )
 
     def degree_stats(self) -> DegreeStats:

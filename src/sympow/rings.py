@@ -21,13 +21,8 @@ def _exp_lcm(a, b):
 def _minimal(exps):
     """The distinct exponent tuples that no other one divides, in ascending
     (degree, exponents) order. A proper divisor has a smaller degree, so each
-    tuple is tested only against the survivors before it.
-
-    Each survivor keeps its support bitmask beside it, and the exponents of
-    a pair are compared only when the survivor's support lies inside the
-    tuple's. The prefilter is exact: a divisor's support lies inside its
-    multiple's, so it skips only pairs that cannot divide, and the output
-    does not change."""
+    tuple is tested only against the survivors before it, by the masked test
+    of `_has_divisor` inlined (a call per tuple costs about 5 %)."""
     out = []
     for e in sorted(set(exps), key=lambda e: (sum(e), e)):
         outside = ~_support(e)
@@ -37,6 +32,31 @@ def _minimal(exps):
         else:
             out.append((e, ~outside))
     return [m for m, _ in out]
+
+
+def _has_divisor(e, masked):
+    """Whether a tuple of ``masked``, (tuple, support mask) pairs, divides e.
+    Exponents are compared only when the tuple's support lies inside e's;
+    a divisor's support lies inside its multiple's, so the prefilter is exact."""
+    outside = ~_support(e)
+    for m, mask in masked:
+        if not mask & outside and all(map(le, m, e)):
+            return True
+    return False
+
+
+def _intersection(a, b):
+    """The minimal exponent tuples spanning the intersection of the ideals the
+    tuples a and b span. A tuple of one side that a tuple of the other side
+    divides lies in both ideals, and every lcm it would form is its multiple,
+    so it is kept as it is; lcms are formed only among the tuples that remain
+    (the pairwise-lcm formula, Miller-Sturmfels, Prop. 1.14)."""
+    sides = [[(e, _support(e)) for e in side] for side in (a, b)]
+    kept, rest = [], ([], [])
+    for i in (0, 1):
+        for e, _ in sides[i]:
+            (kept if _has_divisor(e, sides[1 - i]) else rest[i]).append(e)
+    return _minimal(kept + [_exp_lcm(u, v) for u in rest[0] for v in rest[1]])
 
 
 def _support(exps):

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from itertools import combinations_with_replacement
 from fractions import Fraction
 from math import gcd
 
@@ -114,9 +115,10 @@ class TestExponentHelpers:
 
     def test_helpers_match_definitions(self):
         # one definition each, in rings, shared by both engines
-        for name in ("_exp_mul", "_exp_divides", "_exp_lcm", "_support", "_minimal"):
+        for name in ("_exp_mul", "_exp_divides", "_exp_lcm", "_support", "_minimal", "_intersection"):
             assert getattr(gb, name) is getattr(rings, name)
-        assert ideals._minimal is rings._minimal
+        for name in ("_minimal", "_intersection", "_has_divisor"):
+            assert getattr(ideals, name) is getattr(rings, name)
         for a, b in self.pairs():
             mul = tuple(x + y for x, y in zip(a, b))
             divides = all(x <= y for x, y in zip(a, b))
@@ -177,6 +179,76 @@ class TestExponentHelpers:
             assert rings._minimal(exps) == self.minimal_by_pairs(exps)
             assert rings._minimal(iter(exps)) == self.minimal_by_pairs(exps)
         assert rings._minimal([(2, 0), (0, 0), (0, 3)]) == [(0, 0)]
+
+    @staticmethod
+    def intersection_cases():
+        """Pairs of tuple lists on which the kernel's shortcut fires on both
+        sides: nested ideals either way, variable-prime powers against
+        random ideals, the unit tuple, an empty side and repeated tuples."""
+        rng = seeded(416)
+
+        def draw(n, count):
+            return [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(count)]
+
+        def multiples(exps):
+            return [tuple(x + rng.randint(0, 2) for x in rng.choice(exps))
+                    for _ in range(rng.randint(1, 6))]
+
+        def prime_power(n, k):
+            prime = sorted(rng.sample(range(n), rng.randint(1, n)))
+            out = []
+            for combo in combinations_with_replacement(prime, k):
+                e = [0] * n
+                for i in combo:
+                    e[i] += 1
+                out.append(tuple(e))
+            return out
+
+        cases = [([], []), ([(1, 2)], []), ([], [(0, 0)]), ([(0, 0)], [(0, 0)]),
+                 ([(0, 0, 0)], [(1, 0, 2), (0, 3, 0)]), ([(2, 1), (2, 1)], [(1, 1), (1, 1)])]
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            a = draw(n, rng.randint(1, 8))
+            kind = rng.randrange(5)
+            if kind == 0:  # J inside I, plus a few generators of their own
+                b = multiples(a) + draw(n, rng.randint(0, 2))
+            elif kind == 1:  # I inside J
+                b, a = a, multiples(a)
+            elif kind == 2:  # a variable prime's power against a random ideal
+                b = prime_power(n, rng.randint(1, 4))
+            elif kind == 3:  # the unit tuple on one side
+                b = draw(n, rng.randint(1, 5)) + [(0,) * n]
+            else:
+                b = draw(n, rng.randint(0, 8))
+            if rng.random() < 0.3:  # repeated tuples
+                a = a + a[: rng.randint(1, len(a))]
+            if rng.random() < 0.5:
+                a, b = b, a
+            cases.append((a, b))
+        return cases
+
+    def test_intersection_matches_pairwise_lcms(self):
+        # the oracle is the plain pairwise-lcm formula with the definition of
+        # minimality above: the monomial paths all share the kernel, so their
+        # agreement with each other would not check it
+        fired = [0, 0]
+        for a, b in self.intersection_cases():
+            expected = self.minimal_by_pairs(
+                [tuple(max(x, y) for x, y in zip(u, v)) for u in a for v in b])
+            assert rings._intersection(a, b) == expected
+            assert rings._intersection(iter(a), iter(b)) == expected
+            for i, (mine, theirs) in enumerate(((a, b), (b, a))):
+                fired[i] += sum(any(all(x <= y for x, y in zip(v, u)) for v in theirs)
+                                for u in mine)
+        assert min(fired) > 100  # the shortcut keeps tuples of both sides
+
+    def test_has_divisor_matches_definition(self):
+        for a, b in self.pairs():
+            zero, bumped = (0,) * len(a), tuple(x + 1 for x in a)
+            for exps in ([], [a], [bumped], [bumped, a], [zero]):
+                masked = [(e, rings._support(e)) for e in exps]
+                expected = any(all(x <= y for x, y in zip(e, b)) for e in exps)
+                assert rings._has_divisor(b, masked) == expected
 
     def test_keys_match_reference(self):
         for a, b in self.pairs():
@@ -428,8 +500,8 @@ class TestPinnedBases:
     @pytest.mark.parametrize("name, fold, formed, lcms", [
         ("A6", "_eliminate", 291, 1426),
         ("A7", "_eliminate", 298, 1497),
-        ("A6", "ideal_intersect", 81, 599),
-        ("A7", "ideal_intersect", 30, 353),
+        ("A6", "ideal_intersect", 81, 507),
+        ("A7", "ideal_intersect", 30, 246),
     ], ids=["A6", "A7", "A6-dispatch", "A7-dispatch"])
     def test_s_polynomials_formed_by_the_square_fold(self, name, fold, formed, lcms,
                                                      monkeypatch):
@@ -438,20 +510,23 @@ class TestPinnedBases:
         # The lcms count the pair candidates, so a stale element that the
         # active filter should have dropped shows there too. Folding through
         # elimination alone runs the kernel on every step; the dispatching
-        # fold intersects the monomial primes by lcms, which are counted too
+        # fold intersects the monomial primes with rings._intersection, whose
+        # lcms are counted too. It forms lcms only between the generators
+        # that do not lie in the other ideal, so its count is the smaller one
         calls = {"_s_terms": 0, "_exp_lcm": 0}
 
-        def counting(name):
-            run = getattr(gb, name)
+        def counting(module, name):
+            run = getattr(module, name)
 
             def counted(*args):
                 calls[name] += 1
                 return run(*args)
 
-            monkeypatch.setattr(gb, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        counting("_s_terms")
-        counting("_exp_lcm")
+        counting(gb, "_s_terms")
+        counting(gb, "_exp_lcm")
+        counting(rings, "_exp_lcm")
         prime_power_fold(CASES[name](), 2, getattr(gb, fold))
         assert calls == {"_s_terms": formed, "_exp_lcm": lcms}
 

@@ -305,6 +305,10 @@ class TestOperationsOnTuples:
                 [g * h for g in I.generators for h in J.generators])
             assert I.quotient(u).generators == canonical([colon(g, u) for g in I.generators])
             assert I.radical().generators == canonical([g.radical() for g in I.generators])
+            for w in (u, *J.generators):  # membership by its definition
+                assert I.contains(w) == any(g.divides(w) for g in I.generators)
+            assert I.issubset(J) == all(any(h.divides(g) for h in J.generators) for g in I.generators)
+            assert I.intersect(J).issubset(I) and (I * J).issubset(J)
             current = I  # saturation by its definition, iterated colons
             while True:
                 nxt = MonomialIdeal(I.ring, [colon(g, u) for g in current.generators])
