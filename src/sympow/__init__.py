@@ -1,6 +1,6 @@
 """Exact symbolic powers of ideals over the rationals.
 
-A monomial engine (canonical minimal generators, decompositions, two
+A monomial engine (canonical minimal generators, decompositions, three
 mutually checking symbolic-power paths), degree-bound audits, a small
 exact Groebner kernel, and a CLI that replays the built-in reference
 computations bit-exactly.

@@ -1,12 +1,20 @@
 """Decompositions of monomial ideals and the symbolic-power paths.
 
-Symbolic powers can be computed two independent ways that must agree:
+Symbolic powers can be computed three independent ways that must agree:
 
+* ``symbolic_power_squarefree`` -- squarefree input only: fold
+  `_meet_prime_power`, the exact meet with the n-th power of a variable
+  prime, over the minimal primes;
 * ``symbolic_power_from_decomposition`` -- intersect the n-th powers of
-  primary components by the shared kernel `rings._intersection`;
-  ``symbolic_power_squarefree`` runs it over the minimal primes (squarefree input only);
+  caller-supplied components by the shared kernel `rings._intersection`;
 * ``symbolic_power_saturation`` -- saturate I**n at the product of the
-  variables outside each prime, then intersect.
+  variables outside each prime, then intersect by the same kernel.
+
+The minimal primes come from the Alexander-dual fold of `_meet_prime_power`
+at n = 1. So the squarefree path never runs `rings._intersection`, and the
+decomposition path and the saturation path over the associated primes never
+run `_meet_prime_power`; over the minimal primes the saturation path shares
+only the dual fold that finds them.
 
 ``symbolic_power`` takes the squarefree path on squarefree input and the
 saturation path otherwise.
@@ -15,9 +23,10 @@ saturation path otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring, _exp_lcm, _minimal, check_same_ring
+from .rings import Monomial, Ring, _exp_lcm, _exp_mul, _minimal, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -96,12 +105,33 @@ def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(I.ring, _minimal(lcms))
 
 
+def _meet_prime_power(exps, variables, n):
+    """The minimal exponent tuples spanning I ∩ P^n, for I spanned by the
+    tuples exps and P the prime of the given variable indices.
+
+    A monomial lies in P^n when its degree in P's variables is at least n, so
+    I ∩ P^n = Σ_u u·P^max(0, n - deg_P u) (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, Ch. 1): each generator is multiplied only by the
+    monomials of P it lacks, and no lcm is formed.
+    """
+    powers = {}
+    out = []
+    for u in exps:
+        k = max(0, n - sum(u[i] for i in variables))
+        if k not in powers:
+            powers[k] = [tuple(map(c.count, range(len(u))))
+                         for c in combinations_with_replacement(variables, k)]
+        out += [_exp_mul(u, p) for p in powers[k]]
+    return _minimal(out)
+
+
 def minimal_variable_primes(I: MonomialIdeal) -> list:
     """Minimal primes of a squarefree ideal, sorted by (size, indices).
 
     By Alexander duality they are the supports of the minimal generators
     of the intersection of the primes spanned by each generator's support
-    (Miller-Sturmfels, Combinatorial Commutative Algebra, Ch. 1 and 5).
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Ch. 1 and 5),
+    folded from the unit ideal by `_meet_prime_power` at n = 1.
     """
     _require_proper_nonzero(I)
     if not I.is_squarefree():
@@ -109,8 +139,10 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
             "minimal primes need a squarefree ideal; pass radical() "
             "or use the irreducible decomposition"
         )
-    dual = _intersect_fold([MonomialIdeal.from_variables(I.ring, g.support()) for g in I.generators])
-    primes = [VariablePrime(I.ring, g.support()) for g in dual.generators]
+    dual = [(0,) * I.ring.nvars]
+    for g in I.generators:
+        dual = _meet_prime_power(dual, g.support(), 1)
+    primes = [VariablePrime(I.ring, tuple(i for i, x in enumerate(e) if x)) for e in dual]
     return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
 
@@ -181,10 +213,14 @@ def associated_primes(I: MonomialIdeal) -> list:
 
 
 def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    """The decomposition path over the computed minimal primes."""
+    """The meet of the n-th powers of the minimal primes, folded from the
+    unit ideal by `_meet_prime_power`."""
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
-    return symbolic_power_from_decomposition(minimal_primes(I).components, n)
+    exps = [(0,) * I.ring.nvars]
+    for p in minimal_variable_primes(I):
+        exps = _meet_prime_power(exps, p.variables, n)
+    return MonomialIdeal._from_minimal(I.ring, exps)
 
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:

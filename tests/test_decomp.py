@@ -20,6 +20,7 @@ from sympow import (
     symbolic_power_saturation,
     symbolic_power_squarefree,
 )
+from sympow import decomp, ideals, rings
 from sympow.cases import case_ex31, case_ex32
 
 
@@ -52,6 +53,13 @@ def brute_minimal_covers(edges, nvars):
                 covers.append(frozenset(s))
     minimal = [c for c in covers if not any(d < c for d in covers)]
     return set(minimal)
+
+
+def cycle_ideal(k):
+    """Edge ideal of the k-cycle x0-x1-...-x(k-1)-x0."""
+    R = Ring(tuple(f"x{i}" for i in range(k)))
+    x = [R.variable(name) for name in R.variables]
+    return MonomialIdeal(R, [x[i] * x[(i + 1) % k] for i in range(k)])
 
 
 @pytest.fixture
@@ -92,10 +100,8 @@ class TestMinimalPrimes:
 
     @pytest.mark.parametrize("k", [8, 10])
     def test_cycle_against_bruteforce(self, k):
-        R = Ring(tuple(f"x{i}" for i in range(k)))
         edges = [(i, (i + 1) % k) for i in range(k)]
-        cycle = MonomialIdeal(R, [R.variable(R.variables[i]) * R.variable(R.variables[j])
-                                  for i, j in edges])
+        cycle = cycle_ideal(k)
         primes = minimal_variable_primes(cycle)
         assert {frozenset(p.variables) for p in primes} == brute_minimal_covers(edges, k)
         assert len(primes) == len({p.variables for p in primes})
@@ -254,9 +260,21 @@ class TestSymbolicPowerPaths:
                 d = symbolic_power_saturation(I, n, primes="ass")
                 assert a == b == c == d
 
-    def test_dispatch_follows_the_input(self, monkeypatch):
-        import sympow.decomp as decomp
+    @pytest.mark.parametrize("k, count", [(6, 55), (7, 84), (8, 120)])
+    def test_cycle_cubes_pinned(self, k, count):
+        cycle = cycle_ideal(k)
+        sq = symbolic_power_squarefree(cycle, 3)
+        assert len(sq.generators) == count
+        assert sq.degree_stats().max_gen_degree == 6
+        assert sq == symbolic_power_from_decomposition(minimal_primes(cycle).components, 3)
 
+    def test_ten_cycle_cube_pinned(self):
+        # the squarefree path alone: the decomposition path would add about a second
+        sq = symbolic_power_squarefree(cycle_ideal(10), 3)
+        assert len(sq.generators) == 220
+        assert sq.degree_stats().max_gen_degree == 6
+
+    def test_dispatch_follows_the_input(self, monkeypatch):
         calls = []
         original = decomp.symbolic_power_saturation
 
@@ -291,6 +309,59 @@ class TestSymbolicPowerPaths:
             for a, b in ((1, 1), (1, 2)):
                 lhs = symbolic_power_squarefree(I, a) * symbolic_power_squarefree(I, b)
                 assert lhs.issubset(symbolic_power_squarefree(I, a + b))
+
+
+class TestMeetPrimePower:
+    """`decomp._meet_prime_power`, the prime-power identity
+    I ∩ P^n = Σ_u u·P^max(0, n - deg_P u), against the shared kernel
+    `rings._intersection` on the tuples of P^n from `MonomialIdeal.power`."""
+
+    @staticmethod
+    def by_kernel(exps, variables, n):
+        R = Ring(tuple(f"x{i}" for i in range(len(exps[0]))))
+        power = MonomialIdeal.from_variables(R, variables).power(n)
+        return rings._intersection(exps, [g.exponents for g in power.generators])
+
+    def test_matches_the_kernel(self):
+        rng = seeded(207)
+        seen = {"in_power": 0, "over": 0, "sizes": set(), "powers": set()}
+        for _ in range(300):
+            nvars = rng.randint(1, 5)
+            # non-squarefree generators, not always minimal, some repeated
+            exps = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars))
+                    for _ in range(rng.randint(1, 5))]
+            exps += rng.sample(exps, rng.randint(0, len(exps)))
+            variables = tuple(sorted(rng.sample(range(nvars), rng.randint(1, nvars))))
+            n = rng.randint(1, 4)
+            for e in exps:
+                degree = sum(e[i] for i in variables)
+                seen["in_power"] += degree >= n
+                seen["over"] += degree > n
+            seen["sizes"].add((nvars, len(variables)))
+            seen["powers"].add(n)
+            for given in (exps, rings._minimal(exps), [(0,) * nvars]):
+                assert decomp._meet_prime_power(given, variables, n) == self.by_kernel(given, variables, n)
+        assert seen["in_power"] and seen["over"] and seen["powers"] == {1, 2, 3, 4}
+        assert seen["sizes"] == {(v, p) for v in range(1, 6) for p in range(1, v + 1)}
+
+    def test_paths_stay_independent(self, monkeypatch):
+        # the three-path agreement is a cross-check only while the paths share no fold
+        case = case_ex32()
+        components = [p.ideal() for p in minimal_variable_primes(case.ideal)]
+
+        def refuse(*args):
+            raise AssertionError("a symbolic-power path reached another path's fold")
+
+        with monkeypatch.context() as m:
+            for module, name in ((decomp, "_intersect_fold"), (rings, "_intersection"),
+                                 (ideals, "_intersection")):
+                m.setattr(module, name, refuse)
+            assert symbolic_power_squarefree(case.ideal, 2) == case.expected_square
+        monkeypatch.setattr(decomp, "_meet_prime_power", refuse)
+        assert symbolic_power_from_decomposition(components, 2) == case.expected_square
+        assert symbolic_power_saturation(case.ideal, 2, primes="ass") == case.expected_square
+        ex31 = case_ex31()
+        assert symbolic_power_saturation(ex31.ideal, 2, primes="ass") == ex31.expected_square
 
 
 class TestVariablePrime:
