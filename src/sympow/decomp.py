@@ -23,6 +23,7 @@ saturation path otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
@@ -86,23 +87,24 @@ def _require_proper_nonzero(I: MonomialIdeal):
         raise ValueError("the unit ideal has no decomposition")
 
 
-def _intersect_fold(ideals, meet=MonomialIdeal.intersect) -> MonomialIdeal:
+def _ideal_order(J: MonomialIdeal):
+    # the order of the folds and of a decomposition's components: generator
+    # count, then the generators' (degree, exponents) keys
+    return (len(J.exps), [(sum(e), e) for e in J.exps])
+
+
+def _intersect_fold(ideals) -> MonomialIdeal:
     # ascending generator count keeps the intermediate ideals small
-    parts = sorted(
-        ideals,
-        key=lambda J: (len(J.generators), [g.sort_key for g in J.generators]),
-    )
+    parts = sorted(ideals, key=_ideal_order)
     result = parts[0]
     for J in parts[1:]:
-        result = meet(result, J)
+        result = result.intersect(J)
     return result
 
 
 def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I ∩ J by all pairwise lcms: `_drop_redundant` uses it until the bench stops leaking."""
-    theirs = [v.exponents for v in J.generators]
-    lcms = [_exp_lcm(u.exponents, v) for u in I.generators for v in theirs]
-    return MonomialIdeal._from_minimal(I.ring, _minimal(lcms))
+    return MonomialIdeal._from_minimal(I.ring, _minimal([_exp_lcm(u, v) for u in I.exps for v in J.exps]))
 
 
 def _meet_prime_power(exps, variables, n):
@@ -140,8 +142,8 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
             "or use the irreducible decomposition"
         )
     dual = [(0,) * I.ring.nvars]
-    for g in I.generators:
-        dual = _meet_prime_power(dual, g.support(), 1)
+    for g in I.exps:
+        dual = _meet_prime_power(dual, [i for i, x in enumerate(g) if x], 1)
     primes = [VariablePrime(I.ring, tuple(i for i, x in enumerate(e) if x)) for e in dual]
     return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
@@ -158,42 +160,34 @@ def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     one factor replaces the generator, then drops redundant components.
     """
     _require_proper_nonzero(I)
-    ring = I.ring
     components = set()
     seen = set()
-    stack = [I.generators]
+    stack = [I.exps]
     while stack:
         gens = stack.pop()
-        target = next((g for g in gens if len(g.support()) >= 2), None)
+        target = next((g for g in gens if sum(map(bool, g)) >= 2), None)
         if target is None:
             components.add(gens)
             continue
-        i = target.support()[0]
-        left_exps = [0] * ring.nvars
-        left_exps[i] = target.exponents[i]
-        right_exps = list(target.exponents)
-        right_exps[i] = 0
-        rest = tuple(g for g in gens if g != target)
-        for piece in (Monomial(ring, tuple(left_exps)), Monomial(ring, tuple(right_exps))):
-            new = MonomialIdeal(ring, rest + (piece,)).generators
+        i = next(i for i, x in enumerate(target) if x)
+        left = tuple(x if j == i else 0 for j, x in enumerate(target))
+        right = target[:i] + (0,) + target[i + 1 :]
+        rest = [g for g in gens if g != target]
+        for piece in (left, right):
+            new = tuple(_minimal(rest + [piece]))
             if new not in seen:
                 seen.add(new)
                 stack.append(new)
-    ideals = [MonomialIdeal(ring, gens) for gens in components]
-    ideals = _drop_redundant(ideals)
-    ideals.sort(key=lambda J: (len(J.generators), [g.sort_key for g in J.generators]))
+    ideals = _drop_redundant([MonomialIdeal._from_minimal(I.ring, gens) for gens in components])
     return Decomposition(tuple(ideals))
 
 
 def _drop_redundant(components):
-    comps = sorted(
-        set(components),
-        key=lambda J: (len(J.generators), [g.sort_key for g in J.generators]),
-    )
+    comps = sorted(components, key=_ideal_order)
     i = 0
     while i < len(comps):
         others = comps[:i] + comps[i + 1 :]
-        if others and _intersect_fold(others, _all_lcms).issubset(comps[i]):
+        if others and reduce(_all_lcms, others).issubset(comps[i]):
             comps.pop(i)
             continue
         i += 1
@@ -202,13 +196,10 @@ def _drop_redundant(components):
 
 def associated_primes(I: MonomialIdeal) -> list:
     """Radicals of the irredundant irreducible components, deduplicated."""
-    dec = irreducible_decomposition(I)
     primes = set()
-    for comp in dec.components:
-        support = set()
-        for g in comp.generators:
-            support.update(g.support())
-        primes.add(VariablePrime(I.ring, tuple(sorted(support))))
+    for comp in irreducible_decomposition(I).components:
+        support = reduce(_exp_lcm, comp.exps)  # the lcm has the union of the supports
+        primes.add(VariablePrime(I.ring, tuple(i for i, x in enumerate(support) if x)))
     return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
 

@@ -1,15 +1,21 @@
 """Monomial ideals in canonical minimal-generator form.
 
-Every constructor and operation ends in `rings._minimal`, so two equal
-ideals always carry the identical generator tuple and plain ``==`` is exact
-ideal equality. `intersect` runs `rings._intersection`, the kernel both engines share.
+A `MonomialIdeal` holds its ring and its minimal exponent tuples, ascending
+by (degree, exponents). Every operation works on the tuples and ends in
+`rings._minimal`, so two equal ideals carry the identical tuple and plain
+``==`` is exact ideal equality. `Monomial`s are built only at the boundary:
+by `minimalize`, which the public constructor runs on its monomials, by the
+`generators` property and by `lcm_of_generators`. `intersect` runs `rings._intersection`, the
+kernel both engines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .rings import Monomial, Ring, _exp_mul, _has_divisor, _intersection, _minimal, _support, check_same_ring
+from .rings import (Monomial, Ring, _exp_lcm, _exp_mul, _has_divisor, _intersection, _minimal,
+                    _support, check_same_ring)
 
 
 @dataclass(frozen=True)
@@ -37,67 +43,74 @@ def minimalize(ring: Ring, monomials) -> tuple:
 
 
 class MonomialIdeal:
-    """A monomial ideal held as its canonical minimal generating set."""
+    """A monomial ideal held as its minimal exponent tuples, `exps`."""
 
-    __slots__ = ("ring", "generators")
+    __slots__ = ("ring", "exps")
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
-        self.generators = minimalize(ring, generators)
+        self.exps = tuple(g.exponents for g in minimalize(ring, generators))
 
     @classmethod
     def _from_minimal(cls, ring: Ring, exps) -> MonomialIdeal:
+        """The ideal of exponent tuples that are already minimal and in order."""
         ideal = cls.__new__(cls)
         ideal.ring = ring
-        ideal.generators = tuple(Monomial(ring, e) for e in exps)
+        ideal.exps = tuple(exps)
         return ideal
+
+    @property
+    def generators(self) -> tuple:
+        """The minimal generators as `Monomial`s, built on each access."""
+        return tuple(Monomial(self.ring, e) for e in self.exps)
 
     @classmethod
     def zero(cls, ring: Ring) -> MonomialIdeal:
-        return cls(ring)
+        return cls._from_minimal(ring, ())
 
     @classmethod
     def unit(cls, ring: Ring) -> MonomialIdeal:
-        return cls(ring, (ring.one(),))
+        return cls._from_minimal(ring, ((0,) * ring.nvars,))
 
     @classmethod
     def from_variables(cls, ring: Ring, indices) -> MonomialIdeal:
-        return cls(ring, [ring.variable(ring.variables[i]) for i in indices])
+        exps = []
+        for i in indices:
+            if not 0 <= i < ring.nvars:
+                raise ValueError("variable index out of range")
+            exps.append(tuple(int(j == i) for j in range(ring.nvars)))
+        return cls._from_minimal(ring, _minimal(exps))
 
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.exps
 
     def is_unit(self) -> bool:
-        return bool(self.generators) and self.generators[0].degree == 0
+        return bool(self.exps) and not any(self.exps[0])
 
     def is_proper(self) -> bool:
         return not self.is_unit()
 
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.generators)
+        return all(x <= 1 for e in self.exps for x in e)
 
     def contains(self, u: Monomial) -> bool:
         check_same_ring(self, u)
-        gens = [(g.exponents, _support(g.exponents)) for g in self.generators]
-        return _has_divisor(u.exponents, gens)
+        return _has_divisor(u.exponents, [(e, _support(e)) for e in self.exps])
 
     def issubset(self, other: MonomialIdeal) -> bool:
         check_same_ring(self, other)
-        theirs = [(g.exponents, _support(g.exponents)) for g in other.generators]
-        return all(_has_divisor(g.exponents, theirs) for g in self.generators)
+        theirs = [(e, _support(e)) for e in other.exps]
+        return all(_has_divisor(e, theirs) for e in self.exps)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Intersection by the shared kernel `rings._intersection`."""
         check_same_ring(self, other)
-        return MonomialIdeal._from_minimal(self.ring, _intersection(
-            [u.exponents for u in self.generators], [v.exponents for v in other.generators]
-        ))
+        return MonomialIdeal._from_minimal(self.ring, _intersection(self.exps, other.exps))
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         check_same_ring(self, other)
-        theirs = [v.exponents for v in other.generators]
         return MonomialIdeal._from_minimal(
-            self.ring, _minimal([_exp_mul(u.exponents, v) for u in self.generators for v in theirs])
+            self.ring, _minimal([_exp_mul(u, v) for u in self.exps for v in other.exps])
         )
 
     def power(self, n: int) -> MonomialIdeal:
@@ -116,8 +129,8 @@ class MonomialIdeal:
         check_same_ring(self, u)
         return MonomialIdeal._from_minimal(
             self.ring,
-            _minimal([tuple(a - b if a > b else 0 for a, b in zip(g.exponents, u.exponents))
-                      for g in self.generators]),
+            _minimal([tuple(a - b if a > b else 0 for a, b in zip(g, u.exponents))
+                      for g in self.exps]),
         )
 
     def saturate(self, u: Monomial) -> MonomialIdeal:
@@ -125,41 +138,33 @@ class MonomialIdeal:
         check_same_ring(self, u)
         return MonomialIdeal._from_minimal(
             self.ring,
-            _minimal([tuple(0 if b else a for a, b in zip(g.exponents, u.exponents))
-                      for g in self.generators]),
+            _minimal([tuple(0 if b else a for a, b in zip(g, u.exponents)) for g in self.exps]),
         )
 
     def radical(self) -> MonomialIdeal:
         return MonomialIdeal._from_minimal(
-            self.ring, _minimal([tuple(1 if a else 0 for a in g.exponents) for g in self.generators])
+            self.ring, _minimal([tuple(1 if a else 0 for a in g) for g in self.exps])
         )
 
     def degree_stats(self) -> DegreeStats:
-        if not self.generators:
+        if not self.exps:
             return DegreeStats(None, None, 0)
-        degrees = [g.degree for g in self.generators]
-        return DegreeStats(max(degrees), min(degrees), len(degrees))
+        # ascending by degree, so the first and the last tuple give beg and max
+        return DegreeStats(sum(self.exps[-1]), sum(self.exps[0]), len(self.exps))
 
     def lcm_of_generators(self) -> Monomial:
-        if not self.generators:
+        if not self.exps:
             raise ValueError("the zero ideal has no generator lcm")
-        out = self.generators[0]
-        for g in self.generators[1:]:
-            out = out.lcm(g)
-        return out
+        return Monomial(self.ring, reduce(_exp_lcm, self.exps))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.ring == other.ring
-            and self.generators == other.generators
-        )
+        return isinstance(other, MonomialIdeal) and (self.ring, self.exps) == (other.ring, other.exps)
 
     def __hash__(self):
-        return hash((self.ring, self.generators))
+        return hash((self.ring, self.exps))
 
     def __str__(self):
-        if not self.generators:
+        if not self.exps:
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 

@@ -111,10 +111,10 @@ class Ring:
     def variable(self, name: str) -> Monomial:
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Monomial(self, tuple(exps))
+        return Monomial(self, exps)
 
     def monomial(self, exponents) -> Monomial:
-        return Monomial(self, tuple(exponents))
+        return Monomial(self, exponents)
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.variables == other.variables
@@ -139,7 +139,8 @@ class Monomial:
 
     __slots__ = ("ring", "exponents", "degree")
 
-    def __init__(self, ring: Ring, exponents: tuple):
+    def __init__(self, ring: Ring, exponents):
+        exponents = tuple(exponents)
         if len(exponents) != ring.nvars:
             raise ValueError(
                 f"expected {ring.nvars} exponents, got {len(exponents)}"
@@ -166,7 +167,7 @@ class Monomial:
         return tuple(i for i, e in enumerate(self.exponents) if e)
 
     def radical(self) -> Monomial:
-        return Monomial(self.ring, tuple(min(e, 1) for e in self.exponents))
+        return Monomial(self.ring, (min(e, 1) for e in self.exponents))
 
     def divides(self, other: Monomial) -> bool:
         check_same_ring(self, other)

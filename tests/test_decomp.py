@@ -229,6 +229,23 @@ class TestSymbolicPowerPaths:
         with pytest.raises(ValueError, match="need at least one decomposition component"):
             Decomposition(())
 
+    def test_folds_call_the_intersect_method(self, monkeypatch):
+        # a fold that bound the method at import would hide its calls from a wrapper
+        calls = []
+        original = MonomialIdeal.intersect
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "intersect", counted)
+        case = case_ex31()
+        assert symbolic_power_saturation(case.ideal, 2) == case.expected_square
+        assert calls
+        calls.clear()
+        assert Decomposition(tuple(case.components)).intersection() == case.ideal
+        assert calls
+
     def test_saturation_of_variable_prime_is_power(self):
         R = Ring(("x", "y", "z"))
         P = mideal(R, "x", "y")

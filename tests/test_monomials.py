@@ -32,6 +32,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-integer exponent"):
             Monomial(Ring(("x", "y", "z")), exps)
 
+    def test_list_exponents_are_stored_as_a_tuple(self):
+        # a list used to be stored as given: unhashable, and unequal to the tuple form
+        R = Ring(("x", "y", "z"))
+        m, t = Monomial(R, [1, 0, 2]), Monomial(R, (1, 0, 2))
+        assert m.exponents == (1, 0, 2) and m == t and hash(m) == hash(t)
+        assert MonomialIdeal(R, [m]) == MonomialIdeal(R, [t])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_from_variables_refuses_an_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            MonomialIdeal.from_variables(Ring(("x", "y", "z")), [0, index])
+
 
 class TestLcmDivides:
     def test_lcm_examples(self, R4):
@@ -285,10 +297,17 @@ def canonical(gens):
     return tuple(sorted(naive_minimal(gens), key=lambda m: m.sort_key))
 
 
+def assert_canonical(J):
+    """J equals, hash included, its generators rebuilt by the public constructor."""
+    again = MonomialIdeal(J.ring, J.generators)
+    assert J == again and hash(J) == hash(again)
+
+
 class TestOperationsOnTuples:
-    """The ideal operations form candidate exponent tuples directly; the
-    Monomial formulas they replace, minimalized by the pairwise oracle,
-    are kept here to check them."""
+    """The ideal operations form candidate exponent tuples directly and hand
+    them to the trusted constructor; the Monomial formulas they replace,
+    minimalized by the pairwise oracle, are kept here to check them, and
+    every result must equal its generators rebuilt through `minimalize`."""
 
     def test_operations_match_monomial_formulas_random(self):
         rng = seeded(109)
@@ -316,6 +335,16 @@ class TestOperationsOnTuples:
                     break
                 current = nxt
             assert I.saturate(u).generators == current.generators
+            assert I.power(2).generators == canonical(
+                [g * h for g in I.generators for h in I.generators])
+            indices = [rng.randrange(I.ring.nvars) for _ in range(rng.randint(0, 3))]
+            assert MonomialIdeal.from_variables(I.ring, indices) == MonomialIdeal(
+                I.ring, [I.ring.variable(I.ring.variables[i]) for i in indices])
+            assert MonomialIdeal.unit(I.ring) == MonomialIdeal(I.ring, [I.ring.one()])
+            for result in (I.intersect(J), I * J, I.quotient(u), I.radical(), I.saturate(u),
+                           *(I.power(k) for k in range(4)), MonomialIdeal.unit(I.ring),
+                           MonomialIdeal.zero(I.ring), MonomialIdeal.from_variables(I.ring, indices)):
+                assert_canonical(result)
 
     @pytest.mark.parametrize("op", ["intersect", "__mul__", "issubset"])
     @pytest.mark.parametrize("theirs", ["zero", "unit", "nonzero"])
