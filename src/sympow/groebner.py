@@ -35,16 +35,24 @@ class MonomialOrder:
 
     ``key`` maps an exponent tuple to a flat tuple of ints that compares
     the same way the order does (bigger key = bigger monomial).
+    ``heap_key`` is the negated key, so a min-heap pops the biggest
+    monomial first; an order may build it in one step.
     """
 
     def key(self, exps):
         raise NotImplementedError
+
+    def heap_key(self, exps):
+        return tuple(map(neg, self.key(exps)))
 
 
 @dataclass(frozen=True)
 class DegRevLex(MonomialOrder):
     def key(self, exps):
         return (sum(exps), *map(neg, exps[::-1]))
+
+    def heap_key(self, exps):
+        return (-sum(exps), *exps[::-1])
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,11 @@ class BlockElimination(MonomialOrder):
         k = self.first_k
         head, tail = exps[:k], exps[k:]
         return (sum(head), *map(neg, head[::-1]), sum(tail), *map(neg, tail[::-1]))
+
+    def heap_key(self, exps):
+        k = self.first_k
+        head, tail = exps[:k], exps[k:]
+        return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
 
 
 DEGREVLEX = DegRevLex()
@@ -299,7 +312,7 @@ def _entry(terms, order):
     return de, terms[de], terms, _support(de)
 
 
-def _reduce_dict(p, divisors, order):
+def _reduce_dict(p, divisors, order, first=None):
     """Remainder of the integer term dict p modulo the divisor entries, and its scale.
 
     Divisors are entries ``(leading exps, leading coeff, integer coeff dict,
@@ -313,11 +326,21 @@ def _reduce_dict(p, divisors, order):
     ideal of the divisors. New monomials introduced by a step are strictly
     smaller than the one cancelled, so a lazy max-heap over the live
     monomials is sound.
+
+    ``first`` maps a term to the index of its first divisor, or to the list
+    length at which its search failed; the search for a term starts there.
+    A caller may share one dict across calls only while the divisor list
+    is append-only between them: then a found divisor stays the first, and
+    a failed search resumes at the old end. Without one, a fresh dict is
+    used.
     """
-    key = order.key
+    if first is None:
+        first = {}
+    heap_key = order.heap_key
     p = dict(p)
-    heap = [(tuple(map(neg, key(e))), e) for e in p]
+    heap = [(heap_key(e), e) for e in p]
     heapify(heap)
+    n = len(divisors)
     scale = 1
     moved = {}  # remainder term -> (coeff, scale when it was moved)
     while heap:
@@ -325,33 +348,41 @@ def _reduce_dict(p, divisors, order):
         c = p.pop(e, None)
         if c is None:
             continue
-        emask = _support(e)
-        for de, dc, dcoeffs, dmask in divisors:
-            if not dmask & ~emask and _exp_divides(de, e):
-                g = gcd(c, dc)
-                if dc < 0:
-                    g = -g
-                m, f = dc // g, c // g
-                if m != 1:
-                    scale *= m
-                    for t in p:
-                        p[t] *= m
-                shift = tuple(map(sub, e, de))
-                for e2, c2 in dcoeffs.items():
-                    if e2 == de:
-                        continue
-                    tgt = _exp_mul(e2, shift)
-                    old = p.get(tgt)
-                    v = (old if old is not None else 0) - f * c2
-                    if v:
-                        p[tgt] = v
-                        if old is None:
-                            heappush(heap, (tuple(map(neg, key(tgt))), tgt))
-                    elif old is not None:
-                        del p[tgt]
-                break
-        else:
+        k = first.get(e, 0)
+        if k < n:
+            emask = _support(e)
+            for k in range(k, n):
+                de, _, _, dmask = divisors[k]
+                if not dmask & ~emask and _exp_divides(de, e):
+                    break
+            else:
+                k = n
+            first[e] = k
+        if k == n:
             moved[e] = (c, scale)
+            continue
+        de, dc, dcoeffs, _ = divisors[k]
+        g = gcd(c, dc)
+        if dc < 0:
+            g = -g
+        m, f = dc // g, c // g
+        if m != 1:
+            scale *= m
+            for t in p:
+                p[t] *= m
+        shift = tuple(map(sub, e, de))
+        for e2, c2 in dcoeffs.items():
+            if e2 == de:
+                continue
+            tgt = _exp_mul(e2, shift)
+            old = p.get(tgt)
+            v = (old if old is not None else 0) - f * c2
+            if v:
+                p[tgt] = v
+                if old is None:
+                    heappush(heap, (heap_key(tgt), tgt))
+            elif old is not None:
+                del p[tgt]
     return {e: c * (scale // s) for e, (c, s) in moved.items()}, scale
 
 
@@ -440,9 +471,10 @@ def _reduced_entries(divisors, order):
     leads = set(_minimal(d[0] for d in divisors))
     minimal = sorted((d for d in divisors if d[0] in leads), key=lambda d: key(d[0]))
     out = []
+    first = {}  # `minimal` is fixed, so all tail reductions share the memo
     for de, dc, terms, dmask in reversed(minimal):
         tail, scale = _reduce_dict(
-            {e: c for e, c in terms.items() if e != de}, minimal, order
+            {e: c for e, c in terms.items() if e != de}, minimal, order, first
         )
         tail[de] = scale * dc
         terms = _primitive(tail)
@@ -477,7 +509,9 @@ def _groebner_entries(gens, order):
     primitive integer term dicts: each remainder is content-normalized as
     it joins the basis, S-polynomials are integer cross-multiples of two
     divisor entries, and each element's divisor entry is built once, when
-    it joins, and reused by every reduction. Termination is Dickson's lemma.
+    it joins, and reused by every reduction. The divisor list only grows,
+    so all reductions share one first-divisor memo. Termination is
+    Dickson's lemma.
     """
     key = order.key
     lms = []
@@ -486,6 +520,7 @@ def _groebner_entries(gens, order):
     active = []  # elements that still form pairs: no later lead divides theirs
     pending = {}  # (i, j) -> (lcm of the leads, its support mask), for i < j
     heap = []  # (degree, order key, i, j); a pair no longer pending is skipped
+    first = {}  # first-divisor memo of every reduction; `divisors` only grows
 
     def append(terms):
         entry = _entry(terms, order)
@@ -523,7 +558,7 @@ def _groebner_entries(gens, order):
         divisors.append(entry)
 
     def reduce_and_append(terms):
-        r, _ = _reduce_dict(terms, divisors, order)
+        r, _ = _reduce_dict(terms, divisors, order, first)
         if r:
             append(_primitive(r))
 

@@ -257,6 +257,14 @@ class TestExponentHelpers:
                 for k in (1, 2, 3):
                     assert BlockElimination(k).key(e) == reference_block_key(k, e)
 
+    def test_heap_keys_negate_the_keys(self):
+        # Lex defines only key, so it checks the base-class default
+        orders = (DEGREVLEX, LEX, BlockElimination(1), BlockElimination(2), BlockElimination(3))
+        for a, b in self.pairs():
+            for e in (a, b):
+                for order in orders:
+                    assert order.heap_key(e) == tuple(-x for x in order.key(e))
+
 
 class TestPolynomialArithmetic:
     def test_str_and_parse_shapes(self, R3):
@@ -474,7 +482,8 @@ CASES = {"A6": builtin_case_A6, "A7": builtin_case_A7}
 class TestPinnedBases:
     """sha256 of repr(groebner_basis()) for the paper's ideals: a change to the
     pair selection or pruning that alters any basis byte fails here. The
-    number of S-polynomials a fold forms is pinned too."""
+    number of S-polynomials a fold forms, and of divisibility tests it
+    makes, is pinned too."""
 
     @pytest.mark.parametrize("name, n, digest", [
         ("A6", 2, "faac5c18702d80b54973b67f31cf018b4440218b566cfa9dad08d3a13bc5cb7d"),
@@ -483,7 +492,9 @@ class TestPinnedBases:
         ("A7", 2, "3cb6bfa635070c53290f0a12335e38b66f5a9f0e51dd3e4fd560f85cbf3a8218"),
         ("A7", 3, "7d3f43b29ffb81179ba1167c636ed51f3945d5de4a8f347a09e5f26d325d7c21"),
         ("A7", 4, "eb38d34edc4ac6cc73fb15f351ad084c8b71a84ae4539bf968bebeb149ce0e22"),
-    ], ids=["A6-n2", "A6-n3", "A6-n4", "A7-n2", "A7-n3", "A7-n4"])
+        ("A6", 5, "e1d55c3d327b1b13f8fbd87b72d7bd3439eb76caf3b3647ba1d892f351783e1f"),
+        ("A7", 6, "2ef5826c61e2377491eaa8ec3a607886426fa9a989035828f1aac0d84f91973b"),
+    ], ids=["A6-n2", "A6-n3", "A6-n4", "A7-n2", "A7-n3", "A7-n4", "A6-n5", "A7-n6"])
     def test_prime_power_fold(self, name, n, digest):
         basis = symbolic_power_from_primes(CASES[name]().primes, n).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
@@ -497,14 +508,14 @@ class TestPinnedBases:
         basis = colon_ideal(case, case.witness).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("name, fold, formed, lcms", [
-        ("A6", "_eliminate", 291, 1426),
-        ("A7", "_eliminate", 298, 1497),
-        ("A6", "ideal_intersect", 81, 507),
-        ("A7", "ideal_intersect", 30, 246),
+    @pytest.mark.parametrize("name, fold, formed, lcms, divides", [
+        ("A6", "_eliminate", 291, 1426, 1385),
+        ("A7", "_eliminate", 298, 1497, 1006),
+        ("A6", "ideal_intersect", 81, 507, 776),
+        ("A7", "ideal_intersect", 30, 246, 176),
     ], ids=["A6", "A7", "A6-dispatch", "A7-dispatch"])
     def test_s_polynomials_formed_by_the_square_fold(self, name, fold, formed, lcms,
-                                                     monkeypatch):
+                                                     divides, monkeypatch):
         # a pair criterion that wrongly keeps a pair still ends at the same
         # reduced basis, only slower; the count of S-polynomials shows it.
         # The lcms count the pair candidates, so a stale element that the
@@ -512,8 +523,11 @@ class TestPinnedBases:
         # elimination alone runs the kernel on every step; the dispatching
         # fold intersects the monomial primes with rings._intersection, whose
         # lcms are counted too. It forms lcms only between the generators
-        # that do not lie in the other ideal, so its count is the smaller one
-        calls = {"_s_terms": 0, "_exp_lcm": 0}
+        # that do not lie in the other ideal, so its count is the smaller one.
+        # The kernel's exponent divisibility tests are counted as well: a
+        # reduction that rescans the divisor list from its start, instead
+        # of resuming where the first-divisor memo says, adds to them
+        calls = {"_s_terms": 0, "_exp_lcm": 0, "_exp_divides": 0}
 
         def counting(module, name):
             run = getattr(module, name)
@@ -527,8 +541,9 @@ class TestPinnedBases:
         counting(gb, "_s_terms")
         counting(gb, "_exp_lcm")
         counting(rings, "_exp_lcm")
+        counting(gb, "_exp_divides")
         prime_power_fold(CASES[name](), 2, getattr(gb, fold))
-        assert calls == {"_s_terms": formed, "_exp_lcm": lcms}
+        assert calls == {"_s_terms": formed, "_exp_lcm": lcms, "_exp_divides": divides}
 
 
 class TestIdealOps:

@@ -1,6 +1,7 @@
 """Differential tests against sympy (reduced degrevlex bases, intersections),
-the lcm intersection of monomial ideals against elimination, and the basis
-oracle on inputs that stress the pair pruning of ``buchberger``."""
+the lcm intersection of monomial ideals against elimination, the basis
+oracle on inputs that stress the pair pruning of ``buchberger``, and
+reductions sharing a first-divisor memo against memo-free ones."""
 
 from fractions import Fraction
 
@@ -76,6 +77,19 @@ def monomials_and_binomials(draw):
         lambda t: t[0] != t[1]
     ).map(lambda t: {t[0]: 1, t[1]: t[2]})
     return nvars, draw(st.lists(st.one_of(monomial, binomial), min_size=2, max_size=7))
+
+
+@st.composite
+def growing_divisor_runs(draw):
+    """(divisor term dicts, steps): each step is (length of the divisor
+    list, term dict to reduce), the lengths nondecreasing.
+    Exponents <= 2 in 2-3 variables, so terms recur across steps."""
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    divisors = draw(st.lists(terms, min_size=1, max_size=6))
+    lengths = sorted(draw(st.lists(st.integers(0, len(divisors)), min_size=1, max_size=6)))
+    return divisors, [(k, draw(terms)) for k in lengths]
 
 
 def monic(terms):
@@ -175,3 +189,20 @@ def test_lcm_intersection_matches_elimination(pair):
     assert by_lcm._basis == by_elimination._basis
     assert by_lcm.generators == by_elimination.generators
     assert str(by_lcm) == str(by_elimination)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, BlockElimination(1)], ids=["degrevlex", "block1"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(run=growing_divisor_runs())
+# x finds no divisor in [y], then x joins: the search must resume at index 1
+@example(run=([{(0, 1): 1}, {(1, 0): 1}], [(1, {(1, 0): 1}), (2, {(1, 0): 1})]))
+# y is divided by index 0 twice: the memo must keep that index, not the next
+@example(run=([{(0, 1): 1}], [(1, {(0, 1): 1}), (1, {(0, 1): 2})]))
+def test_shared_memo_matches_fresh_reductions(order, run):
+    # the kernel's use: one memo while the divisor list only grows at its end
+    divisor_terms, steps = run
+    divisors, first = [], {}
+    for length, p in steps:
+        while len(divisors) < length:
+            divisors.append(gb._entry(divisor_terms[len(divisors)], order))
+        assert gb._reduce_dict(p, divisors, order, first) == gb._reduce_dict(p, divisors, order)
