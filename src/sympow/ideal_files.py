@@ -11,8 +11,13 @@ Grammar (one construct per line, ``#`` starts a comment)::
     factor := var ['^' positive-integer] | '(' poly ')'
 
 Variable and ideal names are ASCII identifiers, so the reserved
-elimination variable ``@w`` can never appear in user input. Printing is
-the inverse of parsing on canonical output: generators are emitted
+elimination variable ``@w`` can never appear in user input. Parsing is
+linear in the input: a term reads its factors into one integer
+coefficient and one exponent list, multiplying in only parenthesized
+factors as Polynomials, and every term of a polynomial is added into one
+dict, so each parsed polynomial builds and validates one Polynomial. An
+integer literal too long for ``int()`` is a located ParseError. Printing
+is the inverse of parsing on canonical output: generators are emitted
 content-normalized with terms descending under degrevlex.
 """
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .groebner import PolyIdeal, Polynomial
 from .ideals import MonomialIdeal
-from .rings import Ring
+from .rings import Ring, _exp_mul
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"[0-9]+")
@@ -104,38 +109,56 @@ class _PolyReader:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.value)
+        except ValueError:  # longer than sys.get_int_max_str_digits() allows
+            self.fail(f"integer literal of {len(tok.value)} digits is too long", tok)
+
     def poly(self) -> Polynomial:
+        """Every term is added into one dict, so one Polynomial is built and
+        validated per parsed polynomial, and a sum is linear in its terms."""
+        acc = {}
         sign = 1
         if self.peek().kind in "+-":
             sign = -1 if self.take().kind == "-" else 1
-        result = self.term() * sign
+        self.term(acc, sign)
         while self.peek().kind in "+-":
             sign = -1 if self.take().kind == "-" else 1
-            result = result + self.term() * sign
-        return result
+            self.term(acc, sign)
+        return Polynomial(self.ring, acc)
 
-    def term(self) -> Polynomial:
-        coeff = 1
-        saw_int = False
-        explicit_star = False
+    def term(self, acc: dict, coeff: int):
+        """Add coeff times the next term into acc. A variable factor adds to the
+        term's exponent list; only a parenthesized factor is a Polynomial."""
+        exps = [0] * self.ring.nvars
+        product = None  # of the parenthesized factors
         if self.peek().kind == "INT":
-            coeff = int(self.take().value)
-            saw_int = True
+            coeff *= self.integer(self.take())
             if self.peek().kind == "*":
                 self.take()
-                explicit_star = True
-        if self.peek().kind not in ("IDENT", "("):
-            if saw_int and not explicit_star:
+            elif self.peek().kind not in ("IDENT", "("):
                 # bare integer constant
-                return Polynomial.constant(self.ring, coeff)
+                _add_term(acc, tuple(exps), coeff)
+                return
+        if self.peek().kind not in ("IDENT", "("):
             self.fail("expected a variable, '(' or an integer")
-        result = Polynomial.constant(self.ring, coeff) * self.factor()
-        while self.peek().kind == "*":
+        while True:
+            inner = self.factor(exps)
+            if inner is not None:
+                product = inner if product is None else product * inner
+            if self.peek().kind != "*":
+                break
             self.take()
-            result = result * self.factor()
-        return result
+        shift = tuple(exps)
+        if product is None:
+            _add_term(acc, shift, coeff)
+        else:
+            for e, c in product.coeffs.items():
+                _add_term(acc, _exp_mul(e, shift), coeff * c)
 
-    def factor(self) -> Polynomial:
+    def factor(self, exps: list):
+        """Add a variable factor to exps; return a parenthesized one."""
         tok = self.peek()
         if tok.kind == "(":
             if self.depth == _MAX_NESTING:
@@ -150,21 +173,32 @@ class _PolyReader:
             return inner
         if tok.kind == "IDENT":
             self.take()
-            if tok.value not in self.ring._index:
+            index = self.ring._index.get(tok.value)
+            if index is None:
                 self.fail(f"unknown variable {tok.value!r}", tok)
-            base = Polynomial.variable(self.ring, tok.value)
-            if self.peek().kind != "^":
-                return base
-            self.take()
-            etok = self.peek()
-            if etok.kind != "INT":
-                self.fail("malformed exponent: expected a positive integer", etok)
-            self.take()
-            exp = int(etok.value)
-            if exp < 1:
-                self.fail("malformed exponent: must be a positive integer", etok)
-            return base ** exp
+            exp = 1
+            if self.peek().kind == "^":
+                self.take()
+                etok = self.peek()
+                if etok.kind != "INT":
+                    self.fail("malformed exponent: expected a positive integer", etok)
+                self.take()
+                exp = self.integer(etok)
+                if exp < 1:
+                    self.fail("malformed exponent: must be a positive integer", etok)
+            exps[index] += exp
+            return None
         self.fail("expected a variable or '('")
+
+
+def _add_term(acc: dict, e: tuple, c):
+    """acc[e] += c, dropping the entry when it cancels, so that a term that
+    reappears later goes last, as in `Polynomial.__add__`."""
+    v = acc.get(e, 0) + c
+    if v:
+        acc[e] = v
+    else:
+        acc.pop(e, None)
 
 
 def parse_polynomial(ring: Ring, text: str, lineno: int = 1) -> Polynomial:

@@ -1,9 +1,12 @@
 """Ideal-file grammar: parsing, located errors, round-trip printing."""
 
+import sys
+
 import pytest
 from conftest import mideal, random_monomial_ideal, random_poly_ideal, seeded
 
 from sympow import ParseError, Polynomial, Ring
+from sympow.cli import EXIT_PARSE, main
 from sympow.ideal_files import (
     format_generators,
     format_ideal_file,
@@ -149,6 +152,97 @@ class TestErrors:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_ideal_file("ring: x\nideal I: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
+
+
+# Python 3.10 (and a limit of 0) converts integer strings of any length
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="int() takes integer strings of any length here")
+
+
+class TestOverLongLiterals:
+    """An integer literal longer than int() accepts is a located parse error."""
+
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("template", ["ideal I: {}*x", "ideal I: x + {}", "ideal I: x^{}"],
+                             ids=["coefficient", "constant", "exponent"])
+    def test_located_at_the_literal(self, template):
+        digits = "9" * (INT_DIGIT_LIMIT + 1)
+        line = template.format(digits)
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(f"ring: x\n{line}\n")
+        assert info.value.message == f"integer literal of {len(digits)} digits is too long"
+        assert location(info.value) == (2, line.index(digits) + 1)
+
+    @needs_int_digit_limit
+    def test_cli_exits_with_the_parse_code(self, tmp_path, capsys):
+        path = tmp_path / "long.ideal"
+        path.write_text(f"ring: x\nideal I: {'9' * (INT_DIGIT_LIMIT + 1)}*x\n")
+        assert main(["sympow", "--file", str(path), "--ideal", "I", "--n", "2"]) == EXIT_PARSE
+        assert "line 2, col 10: integer literal of" in capsys.readouterr().err
+
+    def test_literals_below_the_limit_still_parse(self):
+        R = Ring(("x",))
+        digits = "9" * min(INT_DIGIT_LIMIT or 5000, 5000)
+        p = parse_polynomial(R, f"{digits}*x^{digits}")
+        assert p.coeffs == {(int(digits),): int(digits)}
+
+
+class TestLinearParsing:
+    @staticmethod
+    def count_constructions(monkeypatch):
+        built = []
+        init = Polynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("head", ["", "(x - y)*(x + z)*y + "], ids=["terms", "parenthesized"])
+    def test_polynomials_built_do_not_grow_with_the_terms(self, monkeypatch, head):
+        # the old reader copied and re-validated the running sum at every '+'
+        built = self.count_constructions(monkeypatch)
+        counts = {}
+        for n in (4, 4000):
+            text = "ring: x y z\nideal I: " + head + " - ".join(
+                f"{k}*x^{k}*y*z^{k % 7 + 1}" for k in range(1, n + 1)) + "\n"
+            built.clear()
+            (g,) = parse_ideal_file(text).ideal("I").generators
+            counts[n] = len(built)
+            assert len(g.coeffs) >= n
+        assert counts[4] == counts[4000]
+        if not head:
+            assert counts[4000] == 1
+
+    def test_unknown_variable_after_a_parenthesized_factor(self):
+        line = "ideal I: (x + y)*z"
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(f"ring: x y\n{line}\n")
+        assert info.value.message == "unknown variable 'z'"
+        assert location(info.value) == (2, line.index("z") + 1)
+
+    def test_zero_exponent_after_a_parenthesized_factor(self):
+        line = "ideal I: (x + y)*x^0"
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(f"ring: x y\n{line}\n")
+        assert info.value.message == "malformed exponent: must be a positive integer"
+        assert location(info.value) == (2, line.index("0") + 1)
+
+    def test_zero_terms_add_nothing(self):
+        R = Ring(("x", "y"))
+        x = Polynomial.variable(R, "x")
+        for text in ("0", "0*x", "-0*x*(x + y)", "x - x", "2*(x - x)*y"):
+            assert parse_polynomial(R, text).is_zero(), text
+        assert parse_polynomial(R, "0 + x + 0*y - 0").coeffs == x.coeffs
+        assert parse_ideal_file("ring: x y\nideal I: 0, 0*x, x - x\n").ideal("I").is_zero()
+
+    def test_repeated_variables_add_their_exponents(self):
+        R = Ring(("x", "y"))
+        assert parse_polynomial(R, "3*x*y*x^2*y^4").coeffs == {(3, 5): 3}
+        assert parse_polynomial(R, "x*(x + y)*x^2 - x^4").coeffs == {(3, 1): 1}
 
 
 class TestPrinting:
