@@ -12,13 +12,10 @@ Grammar (one construct per line, ``#`` starts a comment)::
 
 Variable and ideal names are ASCII identifiers, so the reserved
 elimination variable ``@w`` can never appear in user input. Parsing is
-linear in the input: a term reads its factors into one integer
-coefficient and one exponent list, multiplying in only parenthesized
-factors as Polynomials, and every term of a polynomial is added into one
-dict, so each parsed polynomial builds and validates one Polynomial. An
-integer literal too long for ``int()`` is a located ParseError. Printing
-is the inverse of parsing on canonical output: generators are emitted
-content-normalized with terms descending under degrevlex.
+linear in the input. An integer literal too long for ``int()`` is a
+located ParseError. Printing is the inverse of parsing on canonical
+output: generators are emitted content-normalized with terms descending
+under degrevlex.
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@
 A `MonomialIdeal` holds its ring and its minimal exponent tuples, ascending
 by (degree, exponents). Every operation works on the tuples and ends in
 `rings._minimal`, so two equal ideals carry the identical tuple and plain
-``==`` is exact ideal equality; the public constructor reads its monomials'
-exponent tuples and runs `rings._minimal` on them too. `Monomial`s are built
-only at the boundary: by `minimalize`, by the `generators` property and by
-`lcm_of_generators`. `intersect` runs `rings._intersection`, the kernel both
-engines share.
+``==`` is exact ideal equality. `Monomial`s are built only at the boundary:
+by `minimalize`, which the public constructor runs on its monomials, by the
+`generators` property and by `lcm_of_generators`. `intersect` runs `rings._intersection`, the
+kernel both engines share.
 """
 
 from __future__ import annotations
@@ -35,17 +34,12 @@ def minimalize(ring: Ring, monomials) -> tuple:
     (degree, exponent vector). Each input's ring is checked once, and the
     selection runs on bare exponent tuples.
     """
-    return tuple(Monomial(ring, e) for e in _minimal(_exponents(ring, monomials)))
-
-
-def _exponents(ring: Ring, monomials) -> list:
-    """The monomials' exponent tuples, each monomial's ring checked once."""
     exps = []
     for m in monomials:
         if m.ring != ring:
             check_same_ring(ring.one(), m)
         exps.append(m.exponents)
-    return exps
+    return tuple(Monomial(ring, e) for e in _minimal(exps))
 
 
 class MonomialIdeal:
@@ -55,7 +49,7 @@ class MonomialIdeal:
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
-        self.exps = tuple(_minimal(_exponents(ring, generators)))
+        self.exps = tuple(g.exponents for g in minimalize(ring, generators))
 
     @classmethod
     def _from_minimal(cls, ring: Ring, exps) -> MonomialIdeal:

@@ -203,7 +203,6 @@ class TestLinearParsing:
 
     @pytest.mark.parametrize("head", ["", "(x - y)*(x + z)*y + "], ids=["terms", "parenthesized"])
     def test_polynomials_built_do_not_grow_with_the_terms(self, monkeypatch, head):
-        # the old reader copied and re-validated the running sum at every '+'
         built = self.count_constructions(monkeypatch)
         counts = {}
         for n in (4, 4000):

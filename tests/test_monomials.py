@@ -113,14 +113,6 @@ class TestMinimalize:
             I = random_monomial_ideal(rng)
             assert MonomialIdeal(I.ring, I.generators) == I
 
-    def test_constructor_keeps_what_minimalize_returns(self):
-        # the constructor minimalizes bare exponent tuples, not Monomials
-        rng = seeded(103)
-        for _ in range(50):
-            R = random_monomial_ideal(rng).ring
-            gens = [random_monomial(rng, R, 4) for _ in range(rng.randint(0, 9))]
-            assert MonomialIdeal(R, gens).generators == minimalize(R, gens)
-
     def test_superset_of_multiples_same_canonical_form(self):
         rng = seeded(103)
         for _ in range(50):
