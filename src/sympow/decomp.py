@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .ideals import MonomialIdeal
 from .rings import Monomial, Ring, _exp_lcm, _exp_mul, _minimal, check_same_ring
@@ -108,23 +109,39 @@ def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def _meet_prime_power(exps, variables, n):
-    """The minimal exponent tuples spanning I ∩ P^n, for I spanned by the
-    tuples exps and P the prime of the given variable indices.
+    """The minimal exponent tuples spanning I ∩ P^n, in ascending (degree,
+    exponents) order, for I spanned by the minimal tuples exps and P the
+    prime of the given variable indices. On non-minimal exps the result
+    can keep redundant tuples.
 
     A monomial lies in P^n when its degree in P's variables is at least n, so
     I ∩ P^n = Σ_u u·P^max(0, n - deg_P u) (Miller-Sturmfels, Combinatorial
     Commutative Algebra, Ch. 1): each generator is multiplied only by the
     monomials of P it lacks, and no lcm is formed.
+
+    A generator u with deg_P u > n is minimal in the meet: a product v·q
+    dividing it would make v a proper divisor of u. Every other product has
+    P-degree exactly n, so only a product with the same exponents on P's
+    variables can divide it, and `_minimal` runs on each such group alone.
     """
     powers = {}
     out = []
+    groups = {}
+    p_part = itemgetter(*variables)
     for u in exps:
-        k = max(0, n - sum(u[i] for i in variables))
+        k = n - sum(u[i] for i in variables)
+        if k < 0:
+            out.append(u)
+            continue
         if k not in powers:
             powers[k] = [tuple(map(c.count, range(len(u))))
                          for c in combinations_with_replacement(variables, k)]
-        out += [_exp_mul(u, p) for p in powers[k]]
-    return _minimal(out)
+        for p in powers[k]:
+            e = _exp_mul(u, p)
+            groups.setdefault(p_part(e), []).append(e)
+    for group in groups.values():
+        out += _minimal(group) if len(group) > 1 else group
+    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def minimal_variable_primes(I: MonomialIdeal) -> list:

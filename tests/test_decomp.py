@@ -285,10 +285,11 @@ class TestSymbolicPowerPaths:
         assert sq.degree_stats().max_gen_degree == 6
         assert sq == symbolic_power_from_decomposition(minimal_primes(cycle).components, 3)
 
-    def test_ten_cycle_cube_pinned(self):
-        # the squarefree path alone: the decomposition path would add about a second
-        sq = symbolic_power_squarefree(cycle_ideal(10), 3)
-        assert len(sq.generators) == 220
+    @pytest.mark.parametrize("k, count", [(10, 220), (12, 364)])
+    def test_ten_cycle_cube_pinned(self, k, count):
+        # the squarefree path alone: the decomposition path would add seconds
+        sq = symbolic_power_squarefree(cycle_ideal(k), 3)
+        assert len(sq.generators) == count
         assert sq.degree_stats().max_gen_degree == 6
 
     def test_dispatch_follows_the_input(self, monkeypatch):
@@ -344,10 +345,10 @@ class TestMeetPrimePower:
         seen = {"in_power": 0, "over": 0, "sizes": set(), "powers": set()}
         for _ in range(300):
             nvars = rng.randint(1, 5)
-            # non-squarefree generators, not always minimal, some repeated
+            # non-squarefree generators, some repeated, minimalized: the meet's precondition
             exps = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars))
                     for _ in range(rng.randint(1, 5))]
-            exps += rng.sample(exps, rng.randint(0, len(exps)))
+            exps = rings._minimal(exps + rng.sample(exps, rng.randint(0, len(exps))))
             variables = tuple(sorted(rng.sample(range(nvars), rng.randint(1, nvars))))
             n = rng.randint(1, 4)
             for e in exps:
@@ -356,10 +357,65 @@ class TestMeetPrimePower:
                 seen["over"] += degree > n
             seen["sizes"].add((nvars, len(variables)))
             seen["powers"].add(n)
-            for given in (exps, rings._minimal(exps), [(0,) * nvars]):
+            for given in (exps, [(0,) * nvars]):
                 assert decomp._meet_prime_power(given, variables, n) == self.by_kernel(given, variables, n)
         assert seen["in_power"] and seen["over"] and seen["powers"] == {1, 2, 3, 4}
         assert seen["sizes"] == {(v, p) for v in range(1, 6) for p in range(1, v + 1)}
+
+    def test_p_degree_below_at_and_above_n(self):
+        # generators built around n in P-degree, so that a generator at n divides
+        # another's products and products of one P-part divide each other
+        rng = seeded(208)
+        seen = {"below": 0, "at": 0, "above": 0, "at_divides_a_product": 0}
+        for _ in range(150):
+            nvars = rng.randint(2, 8)
+            variables = tuple(sorted(rng.sample(range(nvars), rng.randint(1, nvars - 1))))
+            outside = [i for i in range(nvars) if i not in variables]
+            n = rng.randint(1, 5)
+            exps = []
+            for _ in range(rng.randint(1, 8)):
+                e = [0] * nvars
+                for _ in range(max(0, n + rng.choice((-2, -1, -1, 0, 0, 1)))):
+                    e[rng.choice(variables)] += 1
+                for _ in range(rng.randint(0, 3)):
+                    e[rng.choice(outside)] += 1
+                exps.append(tuple(e))
+            exps = rings._minimal(exps)
+            degrees = [sum(e[i] for i in variables) for e in exps]
+            seen["below"] += sum(d < n for d in degrees)
+            seen["at"] += sum(d == n for d in degrees)
+            seen["above"] += sum(d > n for d in degrees)
+            meet = decomp._meet_prime_power(exps, variables, n)
+            assert meet == self.by_kernel(exps, variables, n)
+            # e at n divides a product u·p exactly when e matches or exceeds u on P
+            # and u matches or exceeds e off P (then p is e's P-part less u's)
+            seen["at_divides_a_product"] += any(
+                all(e[i] >= u[i] for i in variables) and all(e[i] <= u[i] for i in outside)
+                for e, d in zip(exps, degrees) if d == n
+                for u, du in zip(exps, degrees) if du < n)
+        assert all(seen.values()), seen
+
+    def test_minimal_runs_on_one_p_part_at_a_time(self, monkeypatch):
+        # the scan stays inside groups of one P-part: one scan over every
+        # product is quadratic in the meet's size
+        meets, calls = [], []
+        meet, minimal = decomp._meet_prime_power, decomp._minimal
+
+        def tracked_meet(exps, variables, n):
+            meets.append((variables, n))
+            return meet(exps, variables, n)
+
+        def tracked_minimal(exps):
+            variables, n = meets[-1]
+            parts = {tuple(e[i] for i in variables) for e in exps}
+            assert len(parts) == 1 and sum(next(iter(parts))) == n
+            calls.append(len(exps))
+            return minimal(exps)
+
+        monkeypatch.setattr(decomp, "_meet_prime_power", tracked_meet)
+        monkeypatch.setattr(decomp, "_minimal", tracked_minimal)
+        assert len(symbolic_power_squarefree(cycle_ideal(8), 3).exps) == 120
+        assert calls and {n for _, n in meets} == {1, 3}
 
     def test_paths_stay_independent(self, monkeypatch):
         # the three-path agreement is a cross-check only while the paths share no fold
