@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from operator import itemgetter
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring, _exp_lcm, _exp_mul, _minimal, check_same_ring
+from .rings import Monomial, Ring, _exp_lcm, _exp_mul, _minimal, _scan, _support, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -109,39 +109,44 @@ def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def _meet_prime_power(exps, variables, n):
-    """The minimal exponent tuples spanning I ∩ P^n, in ascending (degree,
-    exponents) order, for I spanned by the minimal tuples exps and P the
-    prime of the given variable indices. On non-minimal exps the result
-    can keep redundant tuples.
+    """The minimal exponent tuples spanning I ∩ P^n, in no fixed order, for I
+    spanned by the minimal tuples exps and P the prime of the given variable
+    indices (on non-minimal exps the result can keep redundant tuples).
 
-    A monomial lies in P^n when its degree in P's variables is at least n, so
-    I ∩ P^n = Σ_u u·P^max(0, n - deg_P u) (Miller-Sturmfels, Combinatorial
-    Commutative Algebra, Ch. 1): each generator is multiplied only by the
-    monomials of P it lacks, and no lcm is formed.
-
-    A generator u with deg_P u > n is minimal in the meet: a product v·q
-    dividing it would make v a proper divisor of u. Every other product has
-    P-degree exactly n, so only a product with the same exponents on P's
-    variables can divide it, and `_minimal` runs on each such group alone.
+    A monomial lies in P^n when its P-degree is at least n, so I ∩ P^n =
+    Σ_u u·P^max(0, n - deg_P u) (Miller-Sturmfels, Combinatorial Commutative
+    Algebra, Ch. 1). A u with deg_P u > n is minimal: a product v·p dividing it
+    makes v a proper divisor of u. Any other product has P-degree n and divides
+    another only if both have the same P-part q and its rest (P's coordinates
+    set to 0) divides the other's. So each u is split once, `rings._scan` keeps
+    the minimal rests under each q, and a product is built only for a survivor.
     """
-    powers = {}
-    out = []
-    groups = {}
-    p_part = itemgetter(*variables)
+    out, parts, groups, powers = [], {}, {}, {}
+    p_part = itemgetter(*variables) if len(variables) > 1 else lambda u: (u[variables[0]],)
     for u in exps:
-        k = n - sum(u[i] for i in variables)
+        parts.setdefault(p_part(u), []).append(u)
+    for part, us in parts.items():
+        k = n - sum(part)
         if k < 0:
-            out.append(u)
+            out += us
             continue
+        items = []
+        for u in us:
+            rest = list(u)
+            for i in variables:
+                rest[i] = 0
+            items.append((sum(rest), tuple(rest), _support(rest)))
         if k not in powers:
-            powers[k] = [tuple(map(c.count, range(len(u))))
+            powers[k] = [tuple(map(c.count, variables))
                          for c in combinations_with_replacement(variables, k)]
         for p in powers[k]:
-            e = _exp_mul(u, p)
-            groups.setdefault(p_part(e), []).append(e)
-    for group in groups.values():
-        out += _minimal(group) if len(group) > 1 else group
-    return sorted(out, key=lambda e: (sum(e), e))
+            groups.setdefault(_exp_mul(part, p), []).extend(items)
+    for q, items in groups.items():
+        full = [0] * len(items[0][1])
+        for i, x in zip(variables, q):
+            full[i] = x
+        out += [_exp_mul(rest, full) for rest in _scan(sorted(items))]
+    return out
 
 
 def minimal_variable_primes(I: MonomialIdeal) -> list:
@@ -228,7 +233,7 @@ def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
     exps = [(0,) * I.ring.nvars]
     for p in minimal_variable_primes(I):
         exps = _meet_prime_power(exps, p.variables, n)
-    return MonomialIdeal._from_minimal(I.ring, exps)
+    return MonomialIdeal._from_minimal(I.ring, sorted(exps, key=lambda e: (sum(e), e)))
 
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:

@@ -19,18 +19,23 @@ def _exp_lcm(a, b):
 
 
 def _minimal(exps):
-    """The distinct exponent tuples that no other one divides, in ascending
-    (degree, exponents) order. A proper divisor has a smaller degree, so each
-    tuple is tested only against the survivors before it, by the masked test
-    of `_has_divisor` inlined (a call per tuple costs about 5 %)."""
+    """The distinct exponent tuples no other one divides, ascending by (degree, exponents)."""
+    return _scan(sorted((sum(e), e, _support(e)) for e in set(exps)))
+
+
+def _scan(items):
+    """The tuples of ``items``, (degree, tuple, support mask) triples sorted
+    by (degree, tuple), that no tuple before them divides; a repeat is
+    dropped. A proper divisor has a smaller degree, so each tuple is tested
+    only against the survivors before it, by `_has_divisor`'s masked test."""
     out = []
-    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
-        outside = ~_support(e)
-        for m, mask in out:
-            if not mask & outside and all(map(le, m, e)):
+    for _, e, mask in items:
+        outside = ~mask
+        for m, mmask in out:
+            if not mmask & outside and all(map(le, m, e)):
                 break
         else:
-            out.append((e, ~outside))
+            out.append((e, mask))
     return [m for m, _ in out]
 
 

@@ -1,6 +1,6 @@
 """Decompositions and the three symbolic-power paths, cross-checked."""
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from conftest import mideal, mono, random_monomial_ideal, random_squarefree_ideal, seeded
@@ -340,11 +340,17 @@ class TestMeetPrimePower:
         power = MonomialIdeal.from_variables(R, variables).power(n)
         return rings._intersection(exps, [g.exponents for g in power.generators])
 
+    @staticmethod
+    def meet(exps, variables, n):
+        # the meet's tuples come in no fixed order; a sorted list, not a set,
+        # so that a repeated tuple still fails against the kernel
+        return sorted(decomp._meet_prime_power(exps, variables, n), key=lambda e: (sum(e), e))
+
     def test_matches_the_kernel(self):
         rng = seeded(207)
         seen = {"in_power": 0, "over": 0, "sizes": set(), "powers": set()}
-        for _ in range(300):
-            nvars = rng.randint(1, 5)
+        for _ in range(600):
+            nvars = rng.randint(1, 8)
             # non-squarefree generators, some repeated, minimalized: the meet's precondition
             exps = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars))
                     for _ in range(rng.randint(1, 5))]
@@ -358,9 +364,24 @@ class TestMeetPrimePower:
             seen["sizes"].add((nvars, len(variables)))
             seen["powers"].add(n)
             for given in (exps, [(0,) * nvars]):
-                assert decomp._meet_prime_power(given, variables, n) == self.by_kernel(given, variables, n)
+                assert self.meet(given, variables, n) == self.by_kernel(given, variables, n)
         assert seen["in_power"] and seen["over"] and seen["powers"] == {1, 2, 3, 4}
-        assert seen["sizes"] == {(v, p) for v in range(1, 6) for p in range(1, v + 1)}
+        assert seen["sizes"] == {(v, p) for v in range(1, 9) for p in range(1, v + 1)}
+
+    def test_equal_rests_give_one_product(self):
+        # x1·y and x2·y have the rest y; both reach x1·x2 in P^2, and the
+        # product x1·x2·y appears once
+        exps = [(0, 1, 1), (1, 0, 1)]
+        assert self.meet(exps, (0, 1), 2) == [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
+        assert self.meet(exps, (0, 1), 2) == self.by_kernel(exps, (0, 1), 2)
+
+    def test_below_at_and_above_n_in_one_meet(self):
+        # I = (z, x·y, x^3), P = (x, y), n = 2: z is below n and reaches x^2·z,
+        # x·y·z and y^2·z; x·y is at n and divides x·y·z; x^3 is above n
+        exps = [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
+        expected = [(1, 1, 0), (0, 2, 1), (2, 0, 1), (3, 0, 0)]
+        assert self.meet(exps, (0, 1), 2) == expected
+        assert self.by_kernel(exps, (0, 1), 2) == expected
 
     def test_p_degree_below_at_and_above_n(self):
         # generators built around n in P-degree, so that a generator at n divides
@@ -385,8 +406,7 @@ class TestMeetPrimePower:
             seen["below"] += sum(d < n for d in degrees)
             seen["at"] += sum(d == n for d in degrees)
             seen["above"] += sum(d > n for d in degrees)
-            meet = decomp._meet_prime_power(exps, variables, n)
-            assert meet == self.by_kernel(exps, variables, n)
+            assert self.meet(exps, variables, n) == self.by_kernel(exps, variables, n)
             # e at n divides a product u·p exactly when e matches or exceeds u on P
             # and u matches or exceeds e off P (then p is e's P-part less u's)
             seen["at_divides_a_product"] += any(
@@ -396,26 +416,34 @@ class TestMeetPrimePower:
         assert all(seen.values()), seen
 
     def test_minimal_runs_on_one_p_part_at_a_time(self, monkeypatch):
-        # the scan stays inside groups of one P-part: one scan over every
-        # product is quadratic in the meet's size
-        meets, calls = [], []
-        meet, minimal = decomp._meet_prime_power, decomp._minimal
+        # the shared scan sees the rests of one P-part group at a time: one
+        # scan over every product is quadratic in the meet's size
+        reaches, calls = [], []
+        meet, scan = decomp._meet_prime_power, decomp._scan
 
         def tracked_meet(exps, variables, n):
-            meets.append((variables, n))
+            # each rest (P's coordinates set to 0) and the P-parts its products have
+            reach = {}
+            for u in exps:
+                k = n - sum(u[i] for i in variables)
+                rest = tuple(0 if i in variables else x for i, x in enumerate(u))
+                for c in combinations_with_replacement(variables, k) if k >= 0 else ():
+                    reach.setdefault(rest, set()).add(tuple(u[i] + c.count(i) for i in variables))
+            reaches.append((reach, n))
             return meet(exps, variables, n)
 
-        def tracked_minimal(exps):
-            variables, n = meets[-1]
-            parts = {tuple(e[i] for i in variables) for e in exps}
-            assert len(parts) == 1 and sum(next(iter(parts))) == n
-            calls.append(len(exps))
-            return minimal(exps)
+        def tracked_scan(items):
+            reach = reaches[-1][0]
+            # every item is a rest of the meet's input, and all reach one P-part
+            common = set.intersection(*(reach.get(rest, set()) for _, rest, _ in items))
+            assert common
+            calls.append(len(items))
+            return scan(items)
 
         monkeypatch.setattr(decomp, "_meet_prime_power", tracked_meet)
-        monkeypatch.setattr(decomp, "_minimal", tracked_minimal)
+        monkeypatch.setattr(decomp, "_scan", tracked_scan)
         assert len(symbolic_power_squarefree(cycle_ideal(8), 3).exps) == 120
-        assert calls and {n for _, n in meets} == {1, 3}
+        assert max(calls) > 1 and {n for _, n in reaches} == {1, 3}
 
     def test_paths_stay_independent(self, monkeypatch):
         # the three-path agreement is a cross-check only while the paths share no fold
