@@ -9,13 +9,11 @@ computations bit-exactly.
 from .bounds import (
     BOUND_HUNEKE,
     BOUND_LCM,
-    BOUND_SUMDEG,
     BoundReport,
     GrowthSequence,
     bound_report,
     degree_sequence,
-    lcm_bound,
-    sum_degree_bound,
+    per_n_bound,
 )
 from .decomp import (
     Decomposition,

@@ -9,7 +9,6 @@ from .ideals import MonomialIdeal
 
 BOUND_HUNEKE = "huneke_D_times_n"
 BOUND_LCM = "lcm_degree"
-BOUND_SUMDEG = "sum_of_degrees"
 
 
 @dataclass(frozen=True)
@@ -24,29 +23,11 @@ class BoundReport:
         return self.d_in <= self.bound
 
 
-def lcm_bound(I: MonomialIdeal):
-    """(f, deg f) where f is the lcm of the minimal generators.
-
-    The n-th symbolic power is generated in degrees <= deg(f) * n.
-    """
-    f = I.lcm_of_generators()
-    return f, f.degree
-
-
-def sum_degree_bound(I: MonomialIdeal) -> int:
-    """E = sum of the minimal generator degrees; a coarser per-n bound."""
-    stats = I.degree_stats()
-    if stats.count == 0:
-        raise ValueError("the zero ideal has no generator degrees")
-    return sum(g.degree for g in I.generators)
-
-
 def per_n_bound(I: MonomialIdeal, kind: str, D: int | None = None) -> int:
     """The per-n factor of a bound of the given kind on d(I^(n)).
 
     It is D for BOUND_HUNEKE (D defaults to the max generator degree of I
-    and may not lie below it), deg lcm(gens) for BOUND_LCM and the sum of
-    the generator degrees for BOUND_SUMDEG.
+    and may not lie below it) and deg lcm(gens) for BOUND_LCM.
     """
     d_gen = I.degree_stats().max_gen_degree
     if d_gen is None:
@@ -58,9 +39,7 @@ def per_n_bound(I: MonomialIdeal, kind: str, D: int | None = None) -> int:
             raise ValueError(f"D = {D} is below the max generator degree {d_gen}")
         return D
     if kind == BOUND_LCM:
-        return lcm_bound(I)[1]
-    if kind == BOUND_SUMDEG:
-        return sum_degree_bound(I)
+        return I.lcm_of_generators().degree
     raise ValueError(f"unknown bound kind: {kind!r}")
 
 

@@ -241,8 +241,9 @@ def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:
     components = Decomposition(tuple(components)).components
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
-    for c in components[1:]:
+    for c in components:
         check_same_ring(components[0], c)
+        _require_proper_nonzero(c)
     return _intersect_fold([c.power(n) for c in components])
 
 

@@ -87,9 +87,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.exps) and not any(self.exps[0])
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def is_squarefree(self) -> bool:
         return all(x <= 1 for e in self.exps for x in e)
 

@@ -160,11 +160,6 @@ class Monomial:
         self.exponents = exponents
         self.degree = degree
 
-    @property
-    def sort_key(self):
-        # canonical order: ascending degree, then exponent-vector lex
-        return (self.degree, self.exponents)
-
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 

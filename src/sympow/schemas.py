@@ -25,7 +25,8 @@ SYMPOW_SCHEMA = {
 
 BOUNDS_SCHEMA = {
     "type": "object",
-    "required": ["ideal", "n", "reports"],
+    "required": ["ideal", "n", "reports", "lcm_monomial", "lcm_degree"],
+    "additionalProperties": False,
     "properties": {
         "ideal": {"type": "string"},
         "n": {"type": "integer"},
@@ -35,7 +36,7 @@ BOUNDS_SCHEMA = {
                 "type": "object",
                 "required": ["bound_kind", "n", "d_In", "bound", "satisfied"],
                 "properties": {
-                    "bound_kind": {"type": "string"},
+                    "bound_kind": {"enum": ["huneke_D_times_n", "lcm_degree"]},
                     "n": {"type": "integer"},
                     "d_In": {"type": "integer"},
                     "bound": {"type": "integer"},
@@ -43,6 +44,8 @@ BOUNDS_SCHEMA = {
                 },
             },
         },
+        "lcm_monomial": {"type": "string"},
+        "lcm_degree": {"type": "integer"},
     },
 }
 

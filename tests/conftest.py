@@ -50,7 +50,7 @@ def random_squarefree_ideal(rng, max_vars=5, max_gens=5, max_degree=4):
             for _ in range(rng.randint(1, max_gens))
         ]
         ideal = MonomialIdeal(ring, gens)
-        if not ideal.is_zero() and ideal.is_proper():
+        if not ideal.is_zero() and not ideal.is_unit():
             return ideal
 
 

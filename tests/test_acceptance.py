@@ -29,13 +29,14 @@ from sympow import (
     NotSquarefreeError,
     PolyIdeal,
     BOUND_HUNEKE,
+    BOUND_LCM,
     Polynomial,
     bound_report,
     buchberger,
     ideal_equals,
     ideal_intersect,
-    lcm_bound,
     minimal_variable_primes,
+    per_n_bound,
     symbolic_power_from_decomposition,
     symbolic_power_saturation,
     symbolic_power_squarefree,
@@ -201,7 +202,7 @@ def test_criterion_7_oracle_equivalence():
         primes = minimal_variable_primes(I)
         components = [p.ideal() for p in primes]
         d_gen = I.degree_stats().max_gen_degree
-        _, lcm_per_n = lcm_bound(I)
+        lcm_per_n = per_n_bound(I, BOUND_LCM)
         for n in (1, 2, 3):
             a = symbolic_power_squarefree(I, n)
             b = symbolic_power_from_decomposition(components, n)

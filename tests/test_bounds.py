@@ -6,13 +6,11 @@ from conftest import mideal, mono, random_squarefree_ideal, seeded
 from sympow import (
     BOUND_HUNEKE,
     BOUND_LCM,
-    BOUND_SUMDEG,
     BoundReport,
     Ring,
     bound_report,
     degree_sequence,
-    lcm_bound,
-    sum_degree_bound,
+    per_n_bound,
     symbolic_power_from_decomposition,
     symbolic_power_saturation,
     symbolic_power_squarefree,
@@ -59,7 +57,7 @@ class TestHuneke:
 
     def test_zero_ideal(self):
         zero = mideal(Ring(("x",)))
-        for kind in (BOUND_HUNEKE, BOUND_LCM, BOUND_SUMDEG):
+        for kind in (BOUND_HUNEKE, BOUND_LCM):
             with pytest.raises(ValueError, match="zero ideal"):
                 bound_report(zero, 2, 0, kind)
 
@@ -77,15 +75,15 @@ class TestHuneke:
 class TestLcmBound:
     def test_recorded_case(self):
         case = case_ex31()
-        f, per_n = lcm_bound(case.ideal)
-        assert f == mono(case.ring, "x*y^2*z*t^2") and per_n == 6
+        assert case.ideal.lcm_of_generators() == mono(case.ring, "x*y^2*z*t^2")
+        assert per_n_bound(case.ideal, BOUND_LCM) == 6
         rep = bound_report(case.ideal, 2, _ex31_square_degree(), BOUND_LCM)
         assert rep.satisfied and rep.d_in == 6 and rep.bound == 12
 
     def test_terai(self):
         case = case_ex32()
-        f, per_n = lcm_bound(case.ideal)
-        assert f == mono(case.ring, "a*b*c*d*e*f") and per_n == 6
+        assert case.ideal.lcm_of_generators() == mono(case.ring, "a*b*c*d*e*f")
+        assert per_n_bound(case.ideal, BOUND_LCM) == 6
 
     def test_principal_attained_exactly(self):
         R = Ring(("x", "y"))
@@ -97,22 +95,13 @@ class TestLcmBound:
 
 
 class TestSumDegreeBound:
-    def test_examples(self):
-        assert sum_degree_bound(case_ex31().ideal) == 8
-        assert sum_degree_bound(case_ex32().ideal) == 30
-        R = Ring(("x", "y"))
-        assert sum_degree_bound(mideal(R, "x^2*y")) == 3
-
+    # the sum of the generator degrees is never a tighter per-n bound than
+    # deg lcm(gens), which is why the library offers only the lcm bound
     def test_lcm_below_sum(self):
         rng = seeded(301)
         for _ in range(50):
             I = random_squarefree_ideal(rng)
-            _, per_n = lcm_bound(I)
-            assert per_n <= sum_degree_bound(I)
-
-    def test_report(self):
-        rep = bound_report(case_ex31().ideal, 2, _ex31_square_degree(), BOUND_SUMDEG)
-        assert rep.satisfied and rep.bound == 16
+            assert per_n_bound(I, BOUND_LCM) <= sum(g.degree for g in I.generators)
 
 
 class TestGrowth:
@@ -168,7 +157,7 @@ class TestPropertyCorpus:
         for _ in range(100):
             I = random_squarefree_ideal(rng)
             d_gen = I.degree_stats().max_gen_degree
-            _, lcm_per_n = lcm_bound(I)
+            lcm_per_n = per_n_bound(I, BOUND_LCM)
             for n in (1, 2, 3):
                 d = symbolic_power_squarefree(I, n).degree_stats().max_gen_degree
                 assert d <= d_gen * n

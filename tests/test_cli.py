@@ -142,6 +142,15 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "nested deeper" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.ideal"
+        path.write_bytes(b"ring: x y\nideal I: x*y \xff\n")
+        code = main(["sympow", "--file", str(path), "--ideal", "I", "--n", "2"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path} is not UTF-8 text" in captured.err
+
     def test_missing_file_is_2(self, tmp_path):
         code = main(["sympow", "--file", str(tmp_path / "nope"), "--ideal", "I", "--n", "1"])
         assert code == EXIT_PARSE
@@ -227,6 +236,17 @@ class TestExitCodes:
         assert "--primes does not go with --decomposition" in captured.err
         assert calls == []  # refused before any power is computed
 
+    @pytest.mark.parametrize("name, message", [("Z", "zero ideal"), ("U", "unit ideal")])
+    def test_decomposition_of_zero_or_unit_ideal_is_3(self, tmp_path, capsys, name, message):
+        path = tmp_path / "zu.ideal"
+        path.write_text(f"ring: x y\nideal Z:\nideal U: 1\ndecomposition D: {name}\n")
+        code = main(["sympow", "--file", str(path), "--ideal", name, "--n", "2",
+                     "--decomposition", "D"])
+        assert code == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_decomposition_of_another_ideal_is_3(self, tmp_path, capsys):
         # (x) ∩ (z) = (x*z), but I = (x*y, y*z) = (y) ∩ (x, z)
         path = tmp_path / "mismatch.ideal"
@@ -253,11 +273,13 @@ class TestBoundsCommand:
         assert kinds["huneke_D_times_n"]["bound"] == 6
         assert kinds["lcm_degree"]["bound"] == 12
         assert payload["lcm_degree"] == 6
-        assert payload["sum_of_degrees_E"] == 8
+        assert payload["lcm_monomial"] == "x*y^2*z*t^2"
+        assert list(kinds) == ["huneke_D_times_n", "lcm_degree"]
+        assert set(payload) == {"ideal", "n", "reports", "lcm_monomial", "lcm_degree"}
 
     def test_explicit_D(self, ex31_path, capsys):
         code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--D", "5", "--bound", "huneke", "--format", "json"])
+                     "--D", "5", "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["reports"][0]["bound"] == 10
@@ -274,10 +296,10 @@ class TestBoundsCommand:
 
         monkeypatch.setattr(decomp, "symbolic_power_squarefree", counted)
         code = main(["bounds", "--file", terai_path, "--ideal", "T", "--n", "2",
-                     "--bound", "all", "--format", "json"])
+                     "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert [r["d_In"] for r in payload["reports"]] == [6, 6, 6]
+        assert [r["d_In"] for r in payload["reports"]] == [6, 6]
         assert len(calls) == 1
 
     def test_D_below_generators_is_3(self, ex31_path, capsys, monkeypatch):
@@ -291,27 +313,18 @@ class TestBoundsCommand:
         assert "D = 1 is below the max generator degree 3" in capsys.readouterr().err
         assert calls == []  # refused before the power is computed
 
-    @pytest.mark.parametrize("bound", ["lcm", "sumdeg"])
-    @pytest.mark.parametrize("D", ["1", "5"])
-    def test_D_without_huneke_is_3(self, ex31_path, capsys, monkeypatch, bound, D):
-        import sympow.cli as cli
-
-        calls = []
-        monkeypatch.setattr(cli, "symbolic_power", lambda *args: calls.append(args))
+    def test_bound_flag_is_gone(self, ex31_path, capsys):
         code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",
-                     "--bound", bound, "--D", D])
-        assert code == EXIT_PRECONDITION
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"--D applies only to the huneke bound, not to --bound {bound}" in captured.err
-        assert calls == []  # refused before the power is computed
+                     "--bound", "lcm"])
+        assert code == EXIT_PARSE
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
 
     def test_D_with_all_bounds(self, ex31_path, capsys):
         code = main(["bounds", "--file", ex31_path, "--ideal", "I", "--n", "2",
                      "--D", "5", "--format", "json"])
         assert code == EXIT_OK
         bounds = {r["bound_kind"]: r["bound"] for r in json.loads(capsys.readouterr().out)["reports"]}
-        assert bounds == {"huneke_D_times_n": 10, "lcm_degree": 12, "sum_of_degrees": 16}
+        assert bounds == {"huneke_D_times_n": 10, "lcm_degree": 12}
 
 
 class TestGrowthCommand:

@@ -183,7 +183,7 @@ class TestAssociatedPrimes:
         checked = 0
         while checked < 40:
             I = random_monomial_ideal(rng, max_vars=4, max_gens=5, max_degree=4)
-            if I.ring.nvars < 3 or I.is_squarefree() or not I.is_proper():
+            if I.ring.nvars < 3 or I.is_squarefree() or I.is_unit():
                 continue
             got = {p.variables for p in associated_primes(I)}
             assert got == colon_primes([g.exponents for g in I.generators])
@@ -220,6 +220,13 @@ class TestSymbolicPowerPaths:
         R = Ring(("x", "z"))
         sq = symbolic_power_from_decomposition([mideal(R, "x", "z")], 2)
         assert sq == mideal(R, "x^2", "x*z", "z^2")
+
+    @pytest.mark.parametrize("gens, message", [((), "zero ideal"), (("1",), "unit ideal")],
+                             ids=["zero", "unit"])
+    def test_zero_or_unit_component_refused(self, gens, message):
+        R = Ring(("x", "z"))
+        with pytest.raises(ValueError, match=message):
+            symbolic_power_from_decomposition([mideal(R, "x", "z"), mideal(R, *gens)], 2)
 
     def test_decomposition_needs_components(self):
         with pytest.raises(ValueError):

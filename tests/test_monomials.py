@@ -294,7 +294,7 @@ def colon(g, u):
 
 
 def canonical(gens):
-    return tuple(sorted(naive_minimal(gens), key=lambda m: m.sort_key))
+    return tuple(sorted(naive_minimal(gens), key=lambda m: (m.degree, m.exponents)))
 
 
 def assert_canonical(J):
