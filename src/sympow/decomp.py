@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
-from operator import itemgetter
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring, _exp_lcm, _exp_mul, _minimal, _scan, _support, check_same_ring
+from .rings import Monomial, Ring, _exp_lcm, _minimal, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -108,45 +107,88 @@ def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(I.ring, _minimal([_exp_lcm(u, v) for u in I.exps for v in J.exps]))
 
 
-def _meet_prime_power(exps, variables, n):
-    """The minimal exponent tuples spanning I ∩ P^n, in no fixed order, for I
-    spanned by the minimal tuples exps and P the prime of the given variable
-    indices (on non-minimal exps the result can keep redundant tuples).
+class _Packing:
+    """Exponent tuples packed into one int each, for the two squarefree folds.
+
+    Each of the nvars variables gets a field of w = top.bit_length() + 1 bits,
+    x0 highest, and the degree gets one more field above them, where top bounds
+    every degree packed. So the int order is the (degree, exponents) order. The
+    top bit of each field is a guard bit, never set by a packed tuple, and
+    ``guard`` is their mask: subtracting m from e | guard clears a field's guard
+    bit exactly when m's field exceeds e's, and no borrow crosses a field, so m
+    divides e exactly when ((e | guard) - m) & guard == guard (Bachmann and
+    Schönemann, "Monomial representations for Gröbner bases computations",
+    ISSAC 1998).
+    """
+
+    __slots__ = ("shifts", "dshift", "field", "ones", "guard")
+
+    def __init__(self, nvars, top):
+        w = top.bit_length() + 1
+        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
+        self.dshift = w * nvars
+        self.field = (1 << w) - 1
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guard = (self.ones + (1 << self.dshift)) << (w - 1)
+
+    def pack(self, e):
+        return sum(x << s for x, s in zip(e, self.shifts)) + (sum(e) << self.dshift)
+
+    def unpack(self, u):
+        return tuple(u >> s & self.field for s in self.shifts)
+
+
+def _meet_prime_power(us, variables, n, L):
+    """The minimal packed tuples spanning I ∩ P^n, in no fixed order, for I
+    spanned by the minimal tuples us packed by the `_Packing` L, and P the
+    prime of the given variable indices (on non-minimal input the result can
+    keep redundant tuples). L must bound the degrees of the result.
 
     A monomial lies in P^n when its P-degree is at least n, so I ∩ P^n =
     Σ_u u·P^max(0, n - deg_P u) (Miller-Sturmfels, Combinatorial Commutative
     Algebra, Ch. 1). A u with deg_P u > n is minimal: a product v·p dividing it
     makes v a proper divisor of u. Any other product has P-degree n and divides
     another only if both have the same P-part q and its rest (P's coordinates
-    set to 0) divides the other's. So each u is split once, `rings._scan` keeps
-    the minimal rests under each q, and a product is built only for a survivor.
+    set to 0) divides the other's. So each u is split once, `_packed_scan`
+    keeps the minimal rests under each q, and a product is built only for a
+    survivor. Multiplying a P-part by L.ones adds its fields into x0's.
     """
-    out, parts, groups, powers = [], {}, {}, {}
-    p_part = itemgetter(*variables) if len(variables) > 1 else lambda u: (u[variables[0]],)
-    for u in exps:
-        parts.setdefault(p_part(u), []).append(u)
-    for part, us in parts.items():
-        k = n - sum(part)
-        if k < 0:
-            out += us
+    shifts, dshift, ones, field = L.shifts, L.dshift, L.ones, L.field
+    pfields = sum(field << shifts[i] for i in variables)
+    parts, groups, powers, out = {}, {}, {}, []
+    for u in us:
+        parts.setdefault(u & pfields, []).append(u)
+    for part, group in parts.items():
+        d = (part * ones >> shifts[0]) & field
+        if d > n:
+            out += group
             continue
-        items = []
-        for u in us:
-            rest = list(u)
-            for i in variables:
-                rest[i] = 0
-            items.append((sum(rest), tuple(rest), _support(rest)))
-        if k not in powers:
-            powers[k] = [tuple(map(c.count, variables))
-                         for c in combinations_with_replacement(variables, k)]
-        for p in powers[k]:
-            groups.setdefault(_exp_mul(part, p), []).extend(items)
-    for q, items in groups.items():
-        full = [0] * len(items[0][1])
-        for i, x in zip(variables, q):
-            full[i] = x
-        out += [_exp_mul(rest, full) for rest in _scan(sorted(items))]
+        cut = part + (d << dshift)
+        rests = [u - cut for u in group]
+        if d not in powers:
+            powers[d] = [sum(1 << shifts[i] for i in c) + (n << dshift)
+                         for c in combinations_with_replacement(variables, n - d)]
+        for p in powers[d]:
+            groups.setdefault(part + p, []).extend(rests)
+    for q, rests in groups.items():
+        rests.sort()
+        out += [r + q for r in _packed_scan(rests, L.guard)]
     return out
+
+
+def _packed_scan(rests, guard):
+    """The ints of the ascending list ``rests`` that no int before them
+    divides, by the guard-bit test of `_Packing`; a repeat is dropped. A proper
+    divisor has a smaller degree, so it comes first."""
+    kept = []
+    for r in rests:
+        rg = r | guard
+        for m in kept:
+            if (rg - m) & guard == guard:
+                break
+        else:
+            kept.append(r)
+    return kept
 
 
 def minimal_variable_primes(I: MonomialIdeal) -> list:
@@ -163,10 +205,11 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
             "minimal primes need a squarefree ideal; pass radical() "
             "or use the irreducible decomposition"
         )
-    dual = [(0,) * I.ring.nvars]
+    L = _Packing(I.ring.nvars, I.ring.nvars)
+    dual = [L.pack((0,) * I.ring.nvars)]
     for g in I.exps:
-        dual = _meet_prime_power(dual, [i for i, x in enumerate(g) if x], 1)
-    primes = [VariablePrime(I.ring, tuple(i for i, x in enumerate(e) if x)) for e in dual]
+        dual = _meet_prime_power(dual, [i for i, x in enumerate(g) if x], 1, L)
+    primes = [VariablePrime(I.ring, tuple(i for i, x in enumerate(L.unpack(u)) if x)) for u in dual]
     return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
 
@@ -230,10 +273,12 @@ def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
     unit ideal by `_meet_prime_power`."""
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
-    exps = [(0,) * I.ring.nvars]
+    # every exponent stays at most n
+    L = _Packing(I.ring.nvars, n * I.ring.nvars)
+    us = [L.pack((0,) * I.ring.nvars)]
     for p in minimal_variable_primes(I):
-        exps = _meet_prime_power(exps, p.variables, n)
-    return MonomialIdeal._from_minimal(I.ring, sorted(exps, key=lambda e: (sum(e), e)))
+        us = _meet_prime_power(us, p.variables, n, L)
+    return MonomialIdeal._from_minimal(I.ring, [L.unpack(u) for u in sorted(us)])
 
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:

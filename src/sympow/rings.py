@@ -19,17 +19,11 @@ def _exp_lcm(a, b):
 
 
 def _minimal(exps):
-    """The distinct exponent tuples no other one divides, ascending by (degree, exponents)."""
-    return _scan(sorted((sum(e), e, _support(e)) for e in set(exps)))
-
-
-def _scan(items):
-    """The tuples of ``items``, (degree, tuple, support mask) triples sorted
-    by (degree, tuple), that no tuple before them divides; a repeat is
-    dropped. A proper divisor has a smaller degree, so each tuple is tested
-    only against the survivors before it, by `_has_divisor`'s masked test."""
+    """The distinct exponent tuples no other one divides, ascending by (degree, exponents).
+    A proper divisor has a smaller degree, so each tuple is tested only against
+    the survivors before it, by `_has_divisor`'s masked test."""
     out = []
-    for _, e, mask in items:
+    for _, e, mask in sorted((sum(e), e, _support(e)) for e in set(exps)):
         outside = ~mask
         for m, mmask in out:
             if not mmask & outside and all(map(le, m, e)):

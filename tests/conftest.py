@@ -86,5 +86,12 @@ def random_poly_ideal(rng, max_vars=3, max_gens=3, max_degree=3):
             return ideal
 
 
+def cycle_ideal(k):
+    """Edge ideal of the k-cycle x0-x1-...-x(k-1)-x0."""
+    R = Ring(tuple(f"x{i}" for i in range(k)))
+    x = [R.variable(name) for name in R.variables]
+    return MonomialIdeal(R, [x[i] * x[(i + 1) % k] for i in range(k)])
+
+
 def seeded(seed):
     return random.Random(seed)

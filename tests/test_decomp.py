@@ -3,7 +3,7 @@
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
-from conftest import mideal, mono, random_monomial_ideal, random_squarefree_ideal, seeded
+from conftest import cycle_ideal, mideal, mono, random_monomial_ideal, random_squarefree_ideal, seeded
 
 from sympow import (
     Decomposition,
@@ -53,13 +53,6 @@ def brute_minimal_covers(edges, nvars):
                 covers.append(frozenset(s))
     minimal = [c for c in covers if not any(d < c for d in covers)]
     return set(minimal)
-
-
-def cycle_ideal(k):
-    """Edge ideal of the k-cycle x0-x1-...-x(k-1)-x0."""
-    R = Ring(tuple(f"x{i}" for i in range(k)))
-    x = [R.variable(name) for name in R.variables]
-    return MonomialIdeal(R, [x[i] * x[(i + 1) % k] for i in range(k)])
 
 
 @pytest.fixture
@@ -349,9 +342,12 @@ class TestMeetPrimePower:
 
     @staticmethod
     def meet(exps, variables, n):
+        # packed wide enough for every product, which adds at most n to a degree;
         # the meet's tuples come in no fixed order; a sorted list, not a set,
         # so that a repeated tuple still fails against the kernel
-        return sorted(decomp._meet_prime_power(exps, variables, n), key=lambda e: (sum(e), e))
+        L = decomp._Packing(len(exps[0]), max(map(sum, exps)) + n)
+        out = decomp._meet_prime_power([L.pack(e) for e in exps], variables, n, L)
+        return sorted((L.unpack(u) for u in out), key=lambda e: (sum(e), e))
 
     def test_matches_the_kernel(self):
         rng = seeded(207)
@@ -423,34 +419,34 @@ class TestMeetPrimePower:
         assert all(seen.values()), seen
 
     def test_minimal_runs_on_one_p_part_at_a_time(self, monkeypatch):
-        # the shared scan sees the rests of one P-part group at a time: one
+        # the packed scan sees the rests of one P-part group at a time: one
         # scan over every product is quadratic in the meet's size
         reaches, calls = [], []
-        meet, scan = decomp._meet_prime_power, decomp._scan
+        meet, scan = decomp._meet_prime_power, decomp._packed_scan
 
-        def tracked_meet(exps, variables, n):
+        def tracked_meet(us, variables, n, L):
             # each rest (P's coordinates set to 0) and the P-parts its products have
             reach = {}
-            for u in exps:
+            for u in map(L.unpack, us):
                 k = n - sum(u[i] for i in variables)
                 rest = tuple(0 if i in variables else x for i, x in enumerate(u))
                 for c in combinations_with_replacement(variables, k) if k >= 0 else ():
                     reach.setdefault(rest, set()).add(tuple(u[i] + c.count(i) for i in variables))
-            reaches.append((reach, n))
-            return meet(exps, variables, n)
+            reaches.append((reach, n, L))
+            return meet(us, variables, n, L)
 
-        def tracked_scan(items):
-            reach = reaches[-1][0]
+        def tracked_scan(rests, guard):
+            reach, _, L = reaches[-1]
             # every item is a rest of the meet's input, and all reach one P-part
-            common = set.intersection(*(reach.get(rest, set()) for _, rest, _ in items))
+            common = set.intersection(*(reach.get(L.unpack(r), set()) for r in rests))
             assert common
-            calls.append(len(items))
-            return scan(items)
+            calls.append(len(rests))
+            return scan(rests, guard)
 
         monkeypatch.setattr(decomp, "_meet_prime_power", tracked_meet)
-        monkeypatch.setattr(decomp, "_scan", tracked_scan)
+        monkeypatch.setattr(decomp, "_packed_scan", tracked_scan)
         assert len(symbolic_power_squarefree(cycle_ideal(8), 3).exps) == 120
-        assert max(calls) > 1 and {n for _, n in reaches} == {1, 3}
+        assert max(calls) > 1 and {n for _, n, _ in reaches} == {1, 3}
 
     def test_paths_stay_independent(self, monkeypatch):
         # the three-path agreement is a cross-check only while the paths share no fold
@@ -470,6 +466,58 @@ class TestMeetPrimePower:
         assert symbolic_power_saturation(case.ideal, 2, primes="ass") == case.expected_square
         ex31 = case_ex31()
         assert symbolic_power_saturation(ex31.ideal, 2, primes="ass") == ex31.expected_square
+
+
+class TestPacking:
+    """`decomp._Packing`, the packed exponent tuples of the squarefree folds."""
+
+    @staticmethod
+    def cases():
+        # random tuples in each of 1-16 variables below a random top, with the
+        # zero tuple, tuples of degree exactly top and tuples with all of top
+        # on one variable among them; each with a divisor of it, so that both
+        # answers of the guard test occur
+        rng = seeded(211)
+        for k in range(300):
+            nvars, top = 1 + k % 16, rng.randint(1, 40)
+
+            def draw(degree):
+                e = [0] * nvars
+                for _ in range(degree):
+                    e[rng.randrange(nvars) if rng.random() < 0.7 else 0] += 1
+                return tuple(e)
+
+            tuples = [(0,) * nvars, draw(top), (top,) + (0,) * (nvars - 1)]
+            tuples += [draw(rng.choice((0, top, rng.randint(0, top)))) for _ in range(5)]
+            tuples += [tuple(rng.randint(0, x) for x in e) for e in tuples]
+            yield decomp._Packing(nvars, top), tuples
+
+    def test_unpack_inverts_pack(self):
+        for L, tuples in self.cases():
+            for e in tuples:
+                assert L.unpack(L.pack(e)) == e
+                assert L.pack(e) & L.guard == 0
+
+    def test_int_order_is_degree_then_exponents(self):
+        for L, tuples in self.cases():
+            for e, m in product(tuples, repeat=2):
+                assert (L.pack(e) < L.pack(m)) == ((sum(e), e) < (sum(m), m))
+
+    def test_guard_bits_compare_each_field(self):
+        # each guard bit of (e | guard) - m tells whether m's field is at most
+        # e's, the degree field included; all of them together give divisibility
+        seen = {True: 0, False: 0}
+        for L, tuples in self.cases():
+            w = L.field.bit_length()
+            for e, m in product(tuples, repeat=2):
+                bits = (L.pack(e) | L.guard) - L.pack(m)
+                fields = list(zip(m, e)) + [(sum(m), sum(e))]
+                for s, (x, y) in zip(L.shifts + (L.dshift,), fields):
+                    assert (bits >> (s + w - 1) & 1) == (x <= y)
+                divides = bits & L.guard == L.guard
+                assert divides == rings._exp_divides(m, e)
+                seen[divides] += 1
+        assert all(seen.values())
 
 
 class TestVariablePrime:
