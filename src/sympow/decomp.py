@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring, _exp_lcm, _minimal, check_same_ring
+from .rings import Monomial, Ring, _exp_lcm, _minimal, _packed_scan, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -174,21 +174,6 @@ def _meet_prime_power(us, variables, n, L):
         rests.sort()
         out += [r + q for r in _packed_scan(rests, L.guard)]
     return out
-
-
-def _packed_scan(rests, guard):
-    """The ints of the ascending list ``rests`` that no int before them
-    divides, by the guard-bit test of `_Packing`; a repeat is dropped. A proper
-    divisor has a smaller degree, so it comes first."""
-    kept = []
-    for r in rests:
-        rg = r | guard
-        for m in kept:
-            if (rg - m) & guard == guard:
-                break
-        else:
-            kept.append(r)
-    return kept
 
 
 def minimal_variable_primes(I: MonomialIdeal) -> list:

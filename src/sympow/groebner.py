@@ -1,12 +1,12 @@
 """Exact Groebner-basis kernel over the rationals.
 
-Sparse polynomials with Fraction coefficients, monomial orders
-(degrevlex, block elimination), multivariate division, Buchberger
-with the Gebauer-Moeller pair update, reduced bases, and the ideal
-operations built on them: membership, sum, product, power, intersection
-(by lcms for monomial ideals, by elimination otherwise), colon by a
-polynomial, equality. Division runs on integer term dicts inside the
-module; public polynomials keep Fraction coefficients.
+Sparse polynomials with Fraction coefficients, block monomial orders,
+multivariate division, Buchberger with the Gebauer-Moeller pair update,
+reduced bases, and the ideal operations built on them: membership, sum,
+product, power, intersection (by lcms for monomial ideals, by elimination
+otherwise), colon by a polynomial, equality. The kernel runs on packed
+monomials (`_Layout`) and integer coefficients; public polynomials keep
+exponent tuples and Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -15,15 +15,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import neg, sub
+from operator import mul, neg
 
-from .rings import Monomial, Ring, _exp_divides, _exp_lcm, _exp_mul, _intersection, _minimal, _support, check_same_ring
+from .rings import Monomial, Ring, _exp_mul, _intersection, _packed_scan, check_same_ring
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
+_WIDTH = 16  # bits per packed field, guard bit included, as a kernel run starts
 
 
 class InternalInvariantError(RuntimeError):
     """A computation violated one of its own invariants (a bug, not bad input)."""
+
+
+class _Overflow(Exception):
+    """A packed monomial left its fields: the kernel run restarts at double width."""
 
 
 # ---------------------------------------------------------------------------
@@ -31,37 +36,44 @@ class InternalInvariantError(RuntimeError):
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on exponent vectors.
+    """Total, multiplicative well-order on exponent vectors, given as
+    ``blocks``: (kind, size) pairs, most significant first, the last size
+    None for the remaining variables. A "grevlex" block compares degrees,
+    then the smaller last exponent wins; a "lex" block compares exponents in
+    turn. ``key`` maps an exponent tuple to a tuple of ints that compares the
+    same way. The Groebner kernel packs by the blocks, so an order that
+    defines only ``key`` raises TypeError there."""
 
-    ``key`` maps an exponent tuple to a flat tuple of ints that compares
-    the same way the order does (bigger key = bigger monomial).
-    ``heap_key`` is the negated key, so a min-heap pops the biggest
-    monomial first; an order may build it in one step.
-    """
+    blocks = None
+
+    def spans(self, nvars):
+        """(kind, start, stop) of each block over nvars variables."""
+        if self.blocks is None:
+            raise TypeError(f"{self!r} lists no blocks; the Groebner kernel needs them")
+        out, lo = [], 0
+        for kind, size in self.blocks:
+            hi = nvars if size is None else min(lo + size, nvars)
+            out.append((kind, lo, hi))
+            lo = hi
+        return out
 
     def key(self, exps):
-        raise NotImplementedError
-
-    def heap_key(self, exps):
-        return tuple(map(neg, self.key(exps)))
+        out = []
+        for kind, lo, hi in self.spans(len(exps)):
+            part = exps[lo:hi]
+            out += (sum(part), *map(neg, reversed(part))) if kind == "grevlex" else part
+        return tuple(out)
 
 
 @dataclass(frozen=True)
 class DegRevLex(MonomialOrder):
-    def key(self, exps):
-        return (sum(exps), *map(neg, exps[::-1]))
-
-    def heap_key(self, exps):
-        return (-sum(exps), *exps[::-1])
+    blocks = (("grevlex", None),)
 
 
 @dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
-    """Compare the first ``first_k`` exponents (degrevlex) before the rest.
-
-    Any basis element whose leading monomial avoids the first block is
-    free of the first block entirely, which is what elimination needs.
-    """
+    """Degrevlex on the first ``first_k`` variables, then on the rest: an
+    element whose lead avoids the first block is free of it (elimination)."""
 
     first_k: int
 
@@ -69,18 +81,85 @@ class BlockElimination(MonomialOrder):
         if self.first_k < 1:
             raise ValueError("the first block needs at least one variable")
 
-    def key(self, exps):
-        k = self.first_k
-        head, tail = exps[:k], exps[k:]
-        return (sum(head), *map(neg, head[::-1]), sum(tail), *map(neg, tail[::-1]))
-
-    def heap_key(self, exps):
-        k = self.first_k
-        head, tail = exps[:k], exps[k:]
-        return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
+    @property
+    def blocks(self):
+        return (("grevlex", self.first_k), ("grevlex", None))
 
 
 DEGREVLEX = DegRevLex()
+
+
+class _Layout:
+    """Exponent vectors packed into ints whose int order is the term order
+    (Bachmann and Schönemann, ISSAC 1998). A field has ``width`` bits, the top
+    one a guard bit, and holds 0..top. Blocks go most significant first: a
+    grevlex block stores its degree, then top - e_i, the last variable
+    highest; a lex block stores e_i, the first highest. Packing is affine
+    (``unit`` packs 0): a product is a + b - unit, x^(e - d)·t is t + e - d.
+    Each field of such a sum of valid ints lies in -top..2·top and the lowest
+    one out of range sets its guard bit, so the sum is valid exactly when it
+    has no bit of ``guard``. In the exponent form u ^ unit every field is
+    plain: d | e exactly when (((e ^ unit) | guard) - (d ^ unit)) & guard == guard."""
+
+    def __init__(self, order, nvars, width):
+        self.order, self.width, self.top = order, width, (1 << width - 1) - 1
+        top, s = self.top, 0
+        self.shifts, self.coefs, self.dshifts, self.sums = [0] * nvars, [0] * nvars, [], []
+        self.unit = self.vguard = 0
+        for kind, lo, hi in reversed(order.spans(nvars)):
+            graded, base = kind == "grevlex", s
+            for i in range(lo, hi) if graded else range(hi - 1, lo - 1, -1):  # lowest first
+                self.shifts[i], self.coefs[i] = s, -(1 << s) if graded else 1 << s
+                self.unit += top << s if graded else 0
+                self.vguard |= 1 << s + width - 1
+                s += width
+            if graded:  # the degree field; an lcm's rise is summed into it by one product
+                for i in range(lo, hi):
+                    self.coefs[i] += 1 << s
+                self.dshifts.append(s)
+                self.sums.append((self.unit >> base << base,
+                                  sum(1 << j * width for j in range(1, hi - lo + 1)), top << s))
+                s += width
+        self.bits, self.guard = s, sum(1 << f + width - 1 for f in range(0, s, width))
+
+    def pack(self, e):
+        if sum(e) > self.top:  # a degree within top bounds every field
+            raise _Overflow
+        return self.unit + sum(map(mul, e, self.coefs))
+
+    def unpack(self, u):
+        u ^= self.unit
+        return tuple(u >> s & self.top for s in self.shifts)
+
+    def pack_terms(self, terms):
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms):
+        return {self.unpack(u): c for u, c in terms.items()}
+
+    def lcm(self, a, b):
+        """In exponent form, the field-wise max of the variable fields, and
+        each grevlex degree raised by its variables' rise over b."""
+        unit = self.unit
+        a ^= unit
+        b ^= unit
+        take_a = (((a | self.guard) - b) & self.vguard) >> self.width - 1
+        m = b ^ (a ^ b) & take_a * self.top
+        rise = m - b
+        for vmask, ones, dmask in self.sums:
+            m += (rise & vmask) * ones & dmask
+        if m & self.guard:
+            raise _Overflow
+        return m ^ unit
+
+
+def _widen(run, L):
+    """run(L); after an overflow anywhere in it, the whole run again at double width."""
+    while True:
+        try:
+            return run(L)
+        except _Overflow:
+            L = _Layout(L.order, len(L.shifts), 2 * L.width)
 
 
 # ---------------------------------------------------------------------------
@@ -298,62 +377,50 @@ def _integer_terms(coeffs):
 
 
 def _primitive(terms):
-    """A nonzero integer term dict divided by its content, lex-leading term positive."""
+    """A nonzero integer term dict divided by its content, the largest key's
+    term positive: lex-leading for exponent tuples, leading for packed ones."""
     g = gcd(*terms.values())
     if terms[max(terms)] < 0:
         g = -g
     return {e: c // g for e, c in terms.items()}
 
 
-def _entry(terms, order):
-    """Divisor entry of a nonzero integer term dict:
-    (leading exps, leading coeff, terms, support mask of the leading exps)."""
-    de = max(terms, key=order.key)
-    return de, terms[de], terms, _support(de)
+def _entry(terms, L):
+    """Divisor entry of a nonzero packed integer term dict: (lead, its
+    coefficient, terms, the lead in exponent form)."""
+    de = max(terms)
+    return de, terms[de], terms, de ^ L.unit
 
 
-def _reduce_dict(p, divisors, order, first=None):
-    """Remainder of the integer term dict p modulo the divisor entries, and its scale.
+def _reduce_dict(p, divisors, L, first=None):
+    """(r, s): the remainder of the packed integer term dict p modulo the
+    divisor entries of the layout L, tried in list order, and its scale.
 
-    Divisors are entries ``(leading exps, leading coeff, integer coeff dict,
-    support mask)``, tried in list order; a support mask that is not a
-    subset of the term's own rules a divisor out before its exponents are
-    compared. Each step cancels the largest reducible term c*x^e by a
-    divisor d with leading term dc*x^de, fraction-free: with g = gcd(c, dc)
-    signed like dc, p <- (dc/g)*p - (c/g)*x^(e - de)*d. Returns (r, s):
-    s > 0 is the product of the multipliers dc/g, r is s times the
-    remainder of exact division in the same order, and s*p - r lies in the
-    ideal of the divisors. New monomials introduced by a step are strictly
-    smaller than the one cancelled, so a lazy max-heap over the live
-    monomials is sound.
-
-    ``first`` maps a term to the index of its first divisor, or to the list
-    length at which its search failed; the search for a term starts there.
-    A caller may share one dict across calls only while the divisor list
-    is append-only between them: then a found divisor stays the first, and
-    a failed search resumes at the old end. Without one, a fresh dict is
-    used.
-    """
-    if first is None:
-        first = {}
-    heap_key = order.heap_key
+    Each step cancels the largest reducible term c*x^e by a divisor d with
+    lead dc*x^de, fraction-free: with g = gcd(c, dc) signed like dc,
+    p <- (dc/g)*p - (c/g)*x^(e - de)*d. s > 0 is the product of the dc/g, r
+    is s times the remainder of exact division, and s*p - r lies in the
+    ideal of the divisors. ``first`` maps a term to the index of its first
+    divisor, or to the list length at which its search failed, and the
+    search starts there; callers share one only while the list only grows."""
+    first = {} if first is None else first
+    unit, guard = L.unit, L.guard
     p = dict(p)
-    heap = [(heap_key(e), e) for e in p]
+    heap = [-e for e in p]
     heapify(heap)
     n = len(divisors)
     scale = 1
     moved = {}  # remainder term -> (coeff, scale when it was moved)
     while heap:
-        _, e = heappop(heap)
+        e = -heappop(heap)
         c = p.pop(e, None)
         if c is None:
             continue
         k = first.get(e, 0)
         if k < n:
-            emask = _support(e)
+            eg = (e ^ unit) | guard
             for k in range(k, n):
-                de, _, _, dmask = divisors[k]
-                if not dmask & ~emask and _exp_divides(de, e):
+                if (eg - divisors[k][3]) & guard == guard:
                     break
             else:
                 k = n
@@ -361,7 +428,7 @@ def _reduce_dict(p, divisors, order, first=None):
         if k == n:
             moved[e] = (c, scale)
             continue
-        de, dc, dcoeffs, _ = divisors[k]
+        de, dc, dterms, _ = divisors[k]
         g = gcd(c, dc)
         if dc < 0:
             g = -g
@@ -370,73 +437,80 @@ def _reduce_dict(p, divisors, order, first=None):
             scale *= m
             for t in p:
                 p[t] *= m
-        shift = tuple(map(sub, e, de))
-        for e2, c2 in dcoeffs.items():
+        shift = e - de
+        new = 0  # the monomials this step adds; an existing key is valid
+        for e2, c2 in dterms.items():
             if e2 == de:
                 continue
-            tgt = _exp_mul(e2, shift)
+            tgt = e2 + shift
             old = p.get(tgt)
             v = (old if old is not None else 0) - f * c2
             if v:
                 p[tgt] = v
                 if old is None:
-                    heappush(heap, (heap_key(tgt), tgt))
+                    new |= tgt
+                    heappush(heap, -tgt)
             elif old is not None:
                 del p[tgt]
+        if new & guard:
+            raise _Overflow
     return {e: c * (scale // s) for e, (c, s) in moved.items()}, scale
 
 
-def _prepare_divisors(G, order):
-    return [_entry(_integer_terms(g.coeffs)[0], order) for g in G if g]
+def _prepare_divisors(G, L):
+    return [_entry(L.pack_terms(_integer_terms(g.coeffs)[0]), L) for g in G if g]
 
 
-def _s_terms(a, b, L):
-    """Integer S-polynomial of two divisor entries whose leads have lcm L:
-    (cb/g)*x^(L - ea)*a - (ca/g)*x^(L - eb)*b with g = gcd(ca, cb)."""
-    ea, ca, ta, _ = a
-    eb, cb, tb, _ = b
-    g = gcd(ca, cb)
-    ma, mb = cb // g, ca // g
-    sa = tuple(map(sub, L, ea))
-    sb = tuple(map(sub, L, eb))
-    out = {_exp_mul(e, sa): c * ma for e, c in ta.items()}
-    for e, c in tb.items():
-        tgt = _exp_mul(e, sb)
-        v = out.get(tgt, 0) - c * mb
+def _subtract(p, f, shift, terms, guard):
+    """p -= f*x^shift*terms in place, on packed keys; an overflowing new
+    monomial raises _Overflow."""
+    new = 0
+    for e, c in terms.items():
+        tgt = e + shift
+        new |= tgt
+        v = p.get(tgt, 0) - f * c
         if v:
-            out[tgt] = v
+            p[tgt] = v
         else:
-            out.pop(tgt, None)
+            p.pop(tgt, None)
+    if new & guard:
+        raise _Overflow
+
+
+def _s_terms(a, b, lcm, L):
+    """Integer S-polynomial of two divisor entries whose leads have the packed
+    lcm: (cb/g)*x^(lcm - ea)*a - (ca/g)*x^(lcm - eb)*b with g = gcd(ca, cb)."""
+    (ea, ca, ta, _), (eb, cb, tb, _) = a, b
+    g = gcd(ca, cb)
+    out = {}
+    _subtract(out, -cb // g, lcm - ea, ta, L.guard)
+    _subtract(out, ca // g, lcm - eb, tb, L.guard)
     return out
+
+
+def _packed_minimal(us, L):
+    """The distinct packed monomials of us that no other one divides, ascending."""
+    return [v ^ L.unit for v in _packed_scan([u ^ L.unit for u in sorted(us)], L.guard)]
 
 
 def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Quotient f / d when d divides f exactly; anything else is a bug here."""
     if d.is_zero():
         raise ValueError("division by the zero polynomial")
-    ed, cd = d.leading(order)
-    key = order.key
-    p = dict(f.coeffs)
-    q = {}
-    while p:
-        e = max(p, key=key)
-        if not _exp_divides(ed, e):
-            raise InternalInvariantError(
-                "exact division left a remainder; the divisor was expected "
-                "to divide every element here"
-            )
-        c = p[e]
-        shift = tuple(map(sub, e, ed))
-        factor = c / cd
-        q[shift] = factor
-        for e2, c2 in d.coeffs.items():
-            tgt = _exp_mul(e2, shift)
-            v = p.get(tgt, 0) - factor * c2
-            if v:
-                p[tgt] = v
-            else:
-                p.pop(tgt, None)
-    return Polynomial(f.ring, q)
+
+    def run(L):
+        dterms, p, q = L.pack_terms(d.coeffs), L.pack_terms(f.coeffs), {}
+        de = max(dterms)
+        while p:
+            e = max(p)
+            if (((e ^ L.unit) | L.guard) - (de ^ L.unit)) & L.guard != L.guard:
+                raise InternalInvariantError("exact division left a remainder; the divisor was "
+                                             "expected to divide every element here")
+            q[e - de + L.unit] = factor = p[e] / dterms[de]
+            _subtract(p, factor, e - de, dterms, L.guard)
+        return Polynomial(f.ring, L.unpack_terms(q))
+
+    return _widen(run, _Layout(order, f.ring.nvars, _WIDTH))
 
 
 # ---------------------------------------------------------------------------
@@ -452,33 +526,25 @@ def _check_polynomials(generators):
     return gens
 
 
-def _monic(ring, entry):
-    """The monic Fraction polynomial of a divisor entry."""
+def _monic(ring, L, entry):
+    """The monic Fraction polynomial of a divisor entry of the layout L."""
     _, dc, terms, _ = entry
-    return Polynomial(ring, {e: Fraction(c, dc) for e, c in terms.items()})
+    return Polynomial(ring, {L.unpack(e): Fraction(c, dc) for e, c in terms.items()})
 
 
-def _reduced_entries(divisors, order):
-    """Reduced basis, largest lead first, from the divisor entries of a Groebner basis.
-
-    Each minimal entry's tail is reduced against all minimal entries: its
-    own leading monomial is bigger than every tail term, so never divides one.
-    The lead, at the kernel's scale, rejoins the reduced tail and the sum is
-    made primitive, so each entry's term dict is canonical. The leads of a
-    basis are pairwise distinct, so selecting the entries by lead is exact.
-    """
-    key = order.key
-    leads = set(_minimal(d[0] for d in divisors))
-    minimal = sorted((d for d in divisors if d[0] in leads), key=lambda d: key(d[0]))
+def _reduced_entries(divisors, L):
+    """Reduced basis, largest lead first, from the divisor entries of a Groebner
+    basis (distinct leads): each minimal entry's tail reduced against them all,
+    the lead rejoined at the kernel's scale, the sum made primitive (canonical)."""
+    leads = set(_packed_minimal([d[0] for d in divisors], L))
+    minimal = sorted((d for d in divisors if d[0] in leads), key=lambda d: d[0])
     out = []
     first = {}  # `minimal` is fixed, so all tail reductions share the memo
-    for de, dc, terms, dmask in reversed(minimal):
-        tail, scale = _reduce_dict(
-            {e: c for e, c in terms.items() if e != de}, minimal, order, first
-        )
+    for de, dc, terms, word in reversed(minimal):
+        tail, scale = _reduce_dict({e: c for e, c in terms.items() if e != de}, minimal, L, first)
         tail[de] = scale * dc
         terms = _primitive(tail)
-        out.append((de, terms[de], terms, dmask))
+        out.append((de, terms[de], terms, word))
     return out
 
 
@@ -488,89 +554,69 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     gens = [g for g in _check_polynomials(generators) if not g.is_zero()]
     if not gens:
         return ()
+    ring = gens[0].ring
     for g in gens:
         check_same_ring(gens[0], g)
-    entries = _reduced_entries(_groebner_entries(gens, order), order)
-    return tuple(_monic(gens[0].ring, e) for e in entries)
+    return _widen(lambda L: tuple(_monic(ring, L, e) for e in _reduced_entries(_groebner_entries(gens, L), L)),
+                  _Layout(order, ring.nvars, _WIDTH))
 
 
-def _groebner_entries(gens, order):
-    """Divisor entries of a Groebner basis of nonzero polynomials of one ring,
-    in the order they joined it; ``_reduced_entries`` makes it reduced.
-
-    Pair selection is by smallest lcm (degree first). Pairs are pruned by
-    the Gebauer-Moeller update, run once each time an element joins the
-    basis: old pairs fall to criterion B, and of the new pairs only one per
-    minimal lcm stays (criteria M and F), none when a pair with that lcm
-    has coprime leading monomials. Each lead and each pending lcm carries
-    its support mask, so the update rules most candidates in or out by a
-    mask test before comparing exponents. An element whose leading monomial
-    a later one divides forms no more pairs but still reduces. Elements are
-    primitive integer term dicts: each remainder is content-normalized as
-    it joins the basis, S-polynomials are integer cross-multiples of two
-    divisor entries, and each element's divisor entry is built once, when
-    it joins, and reused by every reduction. The divisor list only grows,
-    so all reductions share one first-divisor memo. Termination is
-    Dickson's lemma.
-    """
-    key = order.key
+def _groebner_entries(gens, L):
+    """Divisor entries, packed by L, of a Groebner basis of nonzero polynomials
+    of one ring, in the order they joined it (primitive integer term dicts).
+    Pairs go smallest lcm first, grevlex degrees first, and are pruned by the
+    Gebauer-Moeller update as each element joins: old pairs fall to criterion
+    B, and of the new pairs one per minimal lcm stays (M and F), none when a
+    pair with that lcm has coprime leads (lcm = product). An element whose
+    lead a later one divides forms no more pairs but still reduces. The
+    divisor list only grows, so all reductions share one memo."""
+    unit, guard, top, lcm = L.unit, L.guard, L.top, L.lcm
     lms = []
-    masks = []  # support mask of each lead
     divisors = []  # divisor entries, in basis order
     active = []  # elements that still form pairs: no later lead divides theirs
-    pending = {}  # (i, j) -> (lcm of the leads, its support mask), for i < j
-    heap = []  # (degree, order key, i, j); a pair no longer pending is skipped
+    pending = {}  # (i, j) -> packed lcm of the leads, for i < j
+    heap = []  # (degree, lcm, i, j); a pair no longer pending is skipped
     first = {}  # first-divisor memo of every reduction; `divisors` only grows
 
     def append(terms):
-        entry = _entry(terms, order)
-        de, dmask = entry[0], entry[3]
+        entry = _entry(terms, L)
+        de, word = entry[0], entry[3]
         new = len(divisors)
-        # criterion B: the new lead divides L but neither lcm with it equals L;
-        # a mask test settles most pairs before any exponent is compared
-        for (i, j), (L, Lmask) in list(pending.items()):
-            if (
-                not dmask & ~Lmask
-                and _exp_divides(de, L)
-                and L != _exp_lcm(lms[i], de)
-                and L != _exp_lcm(lms[j], de)
-            ):
+        # criterion B: the new lead divides the lcm but neither lcm with it equals it
+        for (i, j), P in list(pending.items()):
+            if (((P ^ unit) | guard) - word) & guard == guard and lcm(lms[i], de) != P != lcm(lms[j], de):
                 del pending[i, j]
-        # new pairs, grouped by lcm: (first member, any member coprime);
-        # leads are coprime exactly when their supports are disjoint
+        # new pairs, grouped by lcm: (first member, any member coprime)
         groups = {}
         for j in active:
-            L = _exp_lcm(lms[j], de)
-            first, coprime = groups.get(L, (j, False))
-            groups[L] = (first, coprime or not masks[j] & dmask)
+            P = lcm(lms[j], de)
+            member, coprime = groups.get(P, (j, False))
+            groups[P] = (member, coprime or P == lms[j] + de - unit)
         # criterion M keeps the minimal lcms; F keeps one pair of each
-        for L in _minimal(groups):
-            j, coprime = groups[L]
+        for P in _packed_minimal(groups, L):
+            j, coprime = groups[P]
             if not coprime:
-                pending[j, new] = L, masks[j] | dmask
-                heappush(heap, (sum(L), key(L), j, new))
-        active[:] = [
-            j for j in active if dmask & ~masks[j] or not _exp_divides(de, lms[j])
-        ]
+                pending[j, new] = P
+                heappush(heap, (sum(P >> s & top for s in L.dshifts), P, j, new))
+        active[:] = [j for j in active if (((lms[j] ^ unit) | guard) - word) & guard != guard]
         active.append(new)
         lms.append(de)
-        masks.append(dmask)
         divisors.append(entry)
 
     def reduce_and_append(terms):
-        r, _ = _reduce_dict(terms, divisors, order, first)
+        r, _ = _reduce_dict(terms, divisors, L, first)
         if r:
             append(_primitive(r))
 
     # light interreduction of the inputs: one pass, keeps the pair queue small
     for g in gens:
-        reduce_and_append(_integer_terms(g.coeffs)[0])
+        reduce_and_append(L.pack_terms(_integer_terms(g.coeffs)[0]))
 
     while heap:
-        _, _, i, j = heappop(heap)
-        pair = pending.pop((i, j), None)
-        if pair is not None:
-            reduce_and_append(_s_terms(divisors[i], divisors[j], pair[0]))
+        *_, i, j = heappop(heap)
+        P = pending.pop((i, j), None)
+        if P is not None:
+            reduce_and_append(_s_terms(divisors[i], divisors[j], P, L))
 
     return divisors
 
@@ -580,9 +626,9 @@ def _groebner_entries(gens, order):
 
 
 class PolyIdeal:
-    """Generator list plus its reduced degrevlex Groebner basis, held as divisor
-    entries, largest lead first. The operation that made the ideal sets it,
-    or Buchberger does on first use."""
+    """Generator list plus its reduced degrevlex Groebner basis, held as
+    (layout, divisor entries largest lead first). The operation that made
+    the ideal sets it, or Buchberger does on first use."""
 
     __slots__ = ("ring", "generators", "_basis")
 
@@ -603,21 +649,27 @@ class PolyIdeal:
 
     def _entries(self):
         if self._basis is None:
-            self._basis = _reduced_entries(
-                _groebner_entries(self.generators, DEGREVLEX), DEGREVLEX
-            )
+            self._basis = _widen(lambda L: (L, _reduced_entries(_groebner_entries(self.generators, L), L)),
+                                 _Layout(DEGREVLEX, self.ring.nvars, _WIDTH))
         return self._basis
 
     def groebner_basis(self):
         """The reduced degrevlex basis; a reduced basis is canonical for its order."""
-        return tuple(_monic(self.ring, e) for e in self._entries())
+        L, entries = self._entries()
+        return tuple(_monic(self.ring, L, e) for e in entries)
 
     def member(self, f: Polynomial) -> bool:
         check_same_ring(f, self)
         if f.is_zero():
             return True
-        remainder, _ = _reduce_dict(_integer_terms(f.coeffs)[0], self._entries(), DEGREVLEX)
-        return not remainder
+        basis, entries = self._entries()
+
+        def run(L):  # the basis is repacked only when f needs a wider layout
+            divisors = entries if L is basis else [
+                _entry(L.pack_terms(basis.unpack_terms(t)), L) for _, _, t, _ in entries]
+            return not _reduce_dict(L.pack_terms(_integer_terms(f.coeffs)[0]), divisors, L)[0]
+
+        return _widen(run, basis)
 
     def __str__(self):
         if not self.generators:
@@ -626,6 +678,15 @@ class PolyIdeal:
 
     def __repr__(self):
         return f"PolyIdeal{self}"
+
+
+def _handed_over(ring, basis):
+    """The ideal of a (layout, reduced entries) basis, which it keeps; its
+    generators are the entries with the lex-leading term positive."""
+    L, entries = basis
+    result = PolyIdeal(ring, [Polynomial(ring, _primitive(L.unpack_terms(t))) for _, _, t, _ in entries])
+    result._basis = basis
+    return result
 
 
 def ideal_sum(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
@@ -676,42 +737,39 @@ def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
         return _eliminate(I, J)
     a, b = ([e for g in K.generators for e in g.coeffs] for K in (I, J))
-    minimal = sorted(_intersection(a, b), key=DEGREVLEX.key, reverse=True)
-    basis = [(L, 1, {L: 1}, _support(L)) for L in minimal]
-    result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
-    result._basis = basis
-    return result
+    minimal = _intersection(a, b)
+    return _handed_over(I.ring, _widen(
+        lambda L: (L, [_entry({u: 1}, L) for u in sorted(map(L.pack, minimal), reverse=True)]),
+        _Layout(DEGREVLEX, I.ring.nvars, _WIDTH)))
 
 
 def _eliminate(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J of nonzero ideals by elimination: adjoin w, take w*I + (1-w)*J,
     drop w. The w-free entries of a block-order basis are a basis of I ∩ J.
     Only they are reduced: a w-bearing lead divides no w-free term, and the
-    w-free leads sort first, so they reduce to exactly the w-free entries,
-    in the same order, of the reduced block-order basis, which are the
-    reduced degrevlex basis of I ∩ J. The result keeps them, and their
-    primitive term dicts are its generators."""
+    w-free leads sort first, so they reduce to exactly the w-free entries of
+    the reduced block-order basis, the reduced degrevlex basis of I ∩ J.
+    Below w's fields, which read (0, top) on a w-free monomial, the block
+    layout is the degrevlex layout M of the other variables."""
     ext = _extended_ring(I.ring)
     w = Polynomial.variable(ext, AUX_VARIABLE)
     one_minus_w = Polynomial.constant(ext, 1) - w
     gens = [w * _lift(g, ext) for g in I.generators]
     gens += [one_minus_w * _lift(g, ext) for g in J.generators]
-    order = BlockElimination(1)
-    kept = []
-    for entry in _groebner_entries(gens, order):
-        if entry[0][0] == 0:
-            if any(e[0] for e in entry[2]):
-                raise InternalInvariantError(
-                    "w-free leading monomial but a w-bearing tail term"
-                )
-            kept.append(entry)
-    basis = [
-        (de[1:], dc, {e[1:]: c for e, c in terms.items()}, dmask >> 1)
-        for de, dc, terms, dmask in _reduced_entries(kept, order)
-    ]
-    result = PolyIdeal(I.ring, [Polynomial(I.ring, terms) for _, _, terms, _ in basis])
-    result._basis = basis
-    return result
+
+    def run(L):
+        M = _Layout(DEGREVLEX, I.ring.nvars, L.width)
+        kept = []
+        for entry in _groebner_entries(gens, L):
+            if entry[0] >> M.bits == L.top:
+                if any(e >> M.bits != L.top for e in entry[2]):
+                    raise InternalInvariantError("w-free leading monomial but a w-bearing tail term")
+                kept.append(entry)
+        cut = L.top << M.bits
+        return M, [_entry({e - cut: c for e, c in terms.items()}, M)
+                   for _, _, terms, _ in _reduced_entries(kept, L)]
+
+    return _handed_over(I.ring, _widen(run, _Layout(BlockElimination(1), ext.nvars, _WIDTH)))
 
 
 def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
@@ -722,14 +780,15 @@ def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     inter = ideal_intersect(I, PolyIdeal(I.ring, (f,)))
     result = PolyIdeal(I.ring, [divide_exact(g, f) for g in inter.generators])
     # dividing a Groebner basis of I ∩ (f) by f keeps it a Groebner basis
-    result._basis = _reduced_entries(
-        _prepare_divisors(result.generators, DEGREVLEX), DEGREVLEX
-    )
+    result._basis = _widen(lambda L: (L, _reduced_entries(_prepare_divisors(result.generators, L), L)),
+                           _Layout(DEGREVLEX, I.ring.nvars, _WIDTH))
     return result
 
 
 def ideal_equals(I: PolyIdeal, J: PolyIdeal) -> bool:
     """The reduced degrevlex bases coincide exactly. Their entries are
-    canonical: primitive, lex-leading term positive, largest lead first."""
+    canonical (primitive, leading term positive, largest lead first) and
+    compared unpacked, so bases packed at different widths compare exactly."""
     check_same_ring(I, J)
-    return I._entries() == J._entries()
+    left, right = ([L.unpack_terms(t) for _, _, t, _ in entries] for L, entries in (I._entries(), J._entries()))
+    return left == right

@@ -33,6 +33,21 @@ def _minimal(exps):
     return [m for m, _ in out]
 
 
+def _packed_scan(packed, guard):
+    """The ints of ``packed``, listed divisors first, that no int before them
+    divides; a repeat is dropped. Each holds plain exponent fields whose top
+    bits, ``guard``, are clear: m | e exactly when ((e | guard) - m) & guard == guard."""
+    kept = []
+    for r in packed:
+        rg = r | guard
+        for m in kept:
+            if (rg - m) & guard == guard:
+                break
+        else:
+            kept.append(r)
+    return kept
+
+
 def _has_divisor(e, masked):
     """Whether a tuple of ``masked``, (tuple, support mask) pairs, divides e.
     Exponents are compared only when the tuple's support lies inside e's;

@@ -1,66 +1,73 @@
 """Test oracle: re-check the post-conditions of a reduced Groebner basis.
 
-The division and S-polynomial helpers it uses, and the lex order of the
-lex tests, live here: the library itself never calls them.
+The division and S-polynomial it uses, and the lex order of the lex tests,
+live here: the library itself never calls them. They are Fraction long
+division and the textbook S-polynomial on exponent-tuple dicts, so the
+oracle shares no code with the packed kernel of ``sympow.groebner``; it
+imports only public names.
 """
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
-from sympow.groebner import (
-    DEGREVLEX,
-    MonomialOrder,
-    Polynomial,
-    _integer_terms,
-    _prepare_divisors,
-    _reduce_dict,
-    _s_terms,
-    buchberger,
-)
-from sympow.rings import _exp_lcm
+from sympow.groebner import DEGREVLEX, MonomialOrder, Polynomial, buchberger
 
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    def key(self, exps):
-        return tuple(exps)
+    blocks = (("lex", None),)
 
 
 LEX = Lex()
 
 
-def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Remainder of f on division by G (tried in list order).
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
-    f minus the result lies in the ideal spanned by G, and no remainder
-    term is divisible by any leading monomial of G. The division runs on
-    integer multiples of f and G; the result is the kernel's remainder
-    divided by its scale and by the denominator cleared from f, so it is
-    exact.
-    """
-    divisors = _prepare_divisors(G, order)
-    if not divisors:
-        return f
-    terms, den = _integer_terms(f.coeffs)
-    r, scale = _reduce_dict(terms, divisors, order)
-    return Polynomial(f.ring, {e: Fraction(c, scale * den) for e, c in r.items()})
+
+def _subtract_multiple(p, factor, shift, g, skip=None):
+    """p -= factor * x^shift * g in place, on exponent-tuple dicts, skipping
+    the term of g at skip."""
+    for e, c in g.coeffs.items():
+        if e != skip:
+            t = tuple(x + y for x, y in zip(e, shift))
+            v = p.get(t, 0) - factor * c
+            if v:
+                p[t] = v
+            else:
+                p.pop(t, None)
+
+
+def normal_form(f: Polynomial, G, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """Remainder of f on division by G (tried in list order), by Fraction long
+    division: the largest term first, reduced by the first element whose
+    leading monomial divides it. f minus the result lies in the ideal spanned
+    by G, and no remainder term is divisible by any leading monomial of G."""
+    leads = [(g.leading(order), g) for g in G if g]
+    p, r = dict(f.coeffs), {}
+    while p:
+        e = max(p, key=order.key)
+        c = p.pop(e)
+        for (le, lc), g in leads:
+            if _divides(le, e):
+                _subtract_multiple(p, c / lc, tuple(x - y for x, y in zip(e, le)), g, skip=le)
+                break
+        else:
+            r[e] = c
+    return Polynomial(f.ring, r)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """lcm/lt(f) * f - lcm/lt(g) * g for the leading terms lt under order."""
     if not f or not g:
         raise ValueError("the zero polynomial has no leading term")
-    a, b = _prepare_divisors((f, g), order)
-    terms = _s_terms(a, b, _exp_lcm(a[0], b[0]))
-    scale = Fraction(gcd(a[1], b[1]), a[1] * b[1])
-    return Polynomial(f.ring, {e: c * scale for e, c in terms.items()})
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    (ef, cf), (eg, cg) = f.leading(order), g.leading(order)
+    L = tuple(map(max, ef, eg))
+    out = {}
+    _subtract_multiple(out, -1 / cf, tuple(x - y for x, y in zip(L, ef)), f)
+    _subtract_multiple(out, 1 / cg, tuple(x - y for x, y in zip(L, eg)), g)
+    return Polynomial(f.ring, out)
 
 
 def verify_basis(generators, basis, order, recompute=True, shuffle_seed=0):

@@ -69,15 +69,16 @@ def basis_log():
     run_intersect = gb.ideal_intersect
     run_quotient = gb.ideal_quotient
 
-    def recording_kernel(generators, order):
+    def recording_kernel(generators, layout):
         # the pair loop returns a basis that is not yet reduced, and an
         # elimination reduces only its w-free part; reduce all of it here so
         # that every run is checked as the reduced basis of its generators
+        # (a run that overflows its layout raises before it is logged)
         generators = tuple(generators)
-        entries = run_kernel(generators, order)
-        reduced = gb._reduced_entries(entries, order)
-        basis = tuple(gb._monic(generators[0].ring, e) for e in reduced)
-        log.append(("buchberger", generators, basis, order))
+        entries = run_kernel(generators, layout)
+        reduced = gb._reduced_entries(entries, layout)
+        basis = tuple(gb._monic(generators[0].ring, layout, e) for e in reduced)
+        log.append(("buchberger", generators, basis, layout.order))
         return entries
 
     def recording(path, run):

@@ -1,13 +1,16 @@
 """Groebner kernel: division, Buchberger, ideal operations, self-checks."""
 
+import ast
 import hashlib
 import re
 from itertools import combinations_with_replacement
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+import basis_oracle
 import pytest
-from basis_oracle import LEX, normal_form, s_polynomial, verify_basis
+from basis_oracle import LEX, Lex, normal_form, s_polynomial, verify_basis
 from conftest import (
     mideal,
     mono,
@@ -23,9 +26,11 @@ from conftest import (
 import sympow.groebner as gb
 import sympow.ideals as ideals
 import sympow.rings as rings
+from sympow.groebner import MonomialOrder
 from sympow import (
     DEGREVLEX,
     BlockElimination,
+    DegRevLex,
     MonomialIdeal,
     PolyIdeal,
     Polynomial,
@@ -114,19 +119,23 @@ class TestExponentHelpers:
             yield a, b
 
     def test_helpers_match_definitions(self):
-        # one definition each, in rings, shared by both engines
-        for name in ("_exp_mul", "_exp_divides", "_exp_lcm", "_support", "_minimal", "_intersection"):
+        # one definition each, in rings; the Groebner kernel shares only the
+        # tuple product (public polynomials) and the monomial intersection,
+        # and divides, takes lcms and minimalizes on its packed monomials
+        for name in ("_exp_mul", "_intersection"):
             assert getattr(gb, name) is getattr(rings, name)
+        for name in ("_exp_divides", "_exp_lcm", "_support", "_minimal"):
+            assert not hasattr(gb, name)
         for name in ("_minimal", "_intersection", "_has_divisor"):
             assert getattr(ideals, name) is getattr(rings, name)
         for a, b in self.pairs():
             mul = tuple(x + y for x, y in zip(a, b))
             divides = all(x <= y for x, y in zip(a, b))
             lcm = tuple(max(x, y) for x, y in zip(a, b))
-            assert gb._exp_mul(a, b) == mul
-            assert gb._exp_divides(a, b) == divides
-            assert gb._exp_lcm(a, b) == lcm
-            assert gb._support(a) == sum(1 << i for i, x in enumerate(a) if x)
+            assert rings._exp_mul(a, b) == mul
+            assert rings._exp_divides(a, b) == divides
+            assert rings._exp_lcm(a, b) == lcm
+            assert rings._support(a) == sum(1 << i for i, x in enumerate(a) if x)
             ring = Ring(tuple(f"x{i}" for i in range(len(a))))
             u, v = ring.monomial(a), ring.monomial(b)
             assert u.divides(v) == divides
@@ -136,13 +145,13 @@ class TestExponentHelpers:
     def test_masks_agree_with_exponents(self):
         divisible = coprime = 0
         for a, b in self.pairs():
-            ma, mb = gb._support(a), gb._support(b)
-            if gb._exp_divides(a, b):
+            ma, mb = rings._support(a), rings._support(b)
+            if rings._exp_divides(a, b):
                 divisible += 1
                 assert not ma & ~mb
             disjoint = not ma & mb
             coprime += disjoint
-            assert disjoint == (sum(gb._exp_lcm(a, b)) == sum(a) + sum(b))
+            assert disjoint == (sum(rings._exp_lcm(a, b)) == sum(a) + sum(b))
         assert divisible and coprime  # both branches were exercised
 
     @staticmethod
@@ -257,13 +266,129 @@ class TestExponentHelpers:
                 for k in (1, 2, 3):
                     assert BlockElimination(k).key(e) == reference_block_key(k, e)
 
-    def test_heap_keys_negate_the_keys(self):
-        # Lex defines only key, so it checks the base-class default
-        orders = (DEGREVLEX, LEX, BlockElimination(1), BlockElimination(2), BlockElimination(3))
-        for a, b in self.pairs():
-            for e in (a, b):
-                for order in orders:
-                    assert order.heap_key(e) == tuple(-x for x in order.key(e))
+
+def reference_fields(order, e, top):
+    """The packed fields of e, most significant first, by the layout's
+    definition: per block, a grevlex block's degree and then top - e_i from
+    the last variable, or a lex block's e_i from the first."""
+    k = len(e) if isinstance(order, (DegRevLex, Lex)) else min(order.first_k, len(e))
+    blocks = [(0, len(e))] if k == len(e) else [(0, k), (k, len(e))]
+    if isinstance(order, Lex):
+        return list(e)
+    fields = []
+    for lo, hi in blocks:
+        fields += [sum(e[lo:hi])] + [top - x for x in reversed(e[lo:hi])]
+    if len(blocks) == 1 and isinstance(order, BlockElimination):
+        fields += [0]  # the empty second block keeps its degree field
+    return fields
+
+
+def reference_pack(order, e, width):
+    """The int of e's fields, or None when a field is out of 0..top."""
+    top = (1 << width - 1) - 1
+    u = 0
+    for f in reference_fields(order, e, top):
+        if not 0 <= f <= top:
+            return None
+        u = u << width | f
+    return u
+
+
+class TestLayout:
+    """The packed layout of the Groebner kernel against its definition, on
+    seeded tuples in 1 to 10 variables, under degrevlex, lex and block
+    elimination after 1, 2 or 3 variables. The narrow width makes many sums
+    leave their fields; tuples of degree exactly top, the zero tuple (every
+    complemented field at exactly top) and one-variable rings are included."""
+
+    ORDERS = (DEGREVLEX, LEX, BlockElimination(1), BlockElimination(2), BlockElimination(3))
+
+    @staticmethod
+    def tuples(rng, n, top):
+        """Valid tuples: total degree 0..top, spread over n variables."""
+        out = [(0,) * n, (top,) + (0,) * (n - 1), (0,) * (n - 1) + (top,)]
+        for _ in range(12):
+            total = rng.choice((rng.randint(0, top), top))
+            cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+            out.append(tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total])))
+        return out
+
+    def cases(self, seed):
+        rng = seeded(seed)
+        for width in (5, 16):
+            for n in range(1, 11):
+                for order in self.ORDERS:
+                    L = gb._Layout(order, n, width)
+                    yield rng, L, width, self.tuples(rng, n, L.top)
+
+    def test_unpack_inverts_pack(self):
+        for rng, L, width, exps in self.cases(431):
+            for e in exps:
+                assert L.pack(e) == reference_pack(L.order, e, width)
+                assert L.unpack(L.pack(e)) == e
+            with pytest.raises(gb._Overflow):  # packing refuses a degree past top
+                L.pack((L.top + 1,) + (0,) * (len(L.shifts) - 1))
+
+    def test_int_order_is_the_term_order(self):
+        for rng, L, width, exps in self.cases(432):
+            for a in exps:
+                for b in exps:
+                    ka, kb = L.order.key(a), L.order.key(b)
+                    assert (L.pack(a) < L.pack(b), L.pack(a) == L.pack(b)) == (ka < kb, ka == kb)
+
+    def test_guard_test_is_divisibility(self):
+        divisible = 0
+        for rng, L, width, exps in self.cases(433):
+            for a in exps:
+                word = gb._entry({L.pack(a): 1}, L)[3]
+                for b in exps + [tuple(x + y for x, y in zip(a, c)) for c in exps]:
+                    if sum(b) > L.top:
+                        continue
+                    test = (((L.pack(b) ^ L.unit) | L.guard) - word) & L.guard == L.guard
+                    assert test == rings._exp_divides(a, b)
+                    divisible += test
+        assert divisible > 1000
+
+    def test_products_shifts_and_lcms(self):
+        # each result is the packed tuple when every field is in range, and
+        # is flagged (guard bit set, or _Overflow) exactly when one is not
+        flagged = [0, 0, 0]
+        for rng, L, width, exps in self.cases(434):
+            for a in exps:
+                for b in exps:
+                    pa, pb = L.pack(a), L.pack(b)
+                    expected = reference_pack(L.order, rings._exp_mul(a, b), width)
+                    product = pa + pb - L.unit
+                    assert (product & L.guard != 0) == (expected is None)
+                    assert expected is None or product == expected
+                    flagged[0] += expected is None
+                    expected = reference_pack(L.order, rings._exp_lcm(a, b), width)
+                    if expected is None:
+                        with pytest.raises(gb._Overflow):
+                            L.lcm(pa, pb)
+                        flagged[1] += 1
+                    else:
+                        assert L.lcm(pa, pb) == expected
+                    # x^(e - d)*t for d = a dividing e = a*b, and t = the next tuple
+                    e, t = rings._exp_mul(a, b), rng.choice(exps)
+                    if sum(e) <= L.top:
+                        shift = L.pack(t) + L.pack(e) - pa
+                        expected = reference_pack(L.order, rings._exp_mul(t, b), width)
+                        assert (shift & L.guard != 0) == (expected is None)
+                        assert expected is None or shift == expected
+                        flagged[2] += expected is None
+        assert min(flagged) > 100
+
+    def test_key_only_order_is_refused(self, R3):
+        class KeyOnly(MonomialOrder):
+            def key(self, exps):
+                return tuple(exps)
+
+        f = poly(R3, "x - y")
+        with pytest.raises(TypeError, match="lists no blocks"):
+            buchberger([f], KeyOnly())
+        with pytest.raises(TypeError, match="lists no blocks"):
+            divide_exact(f, f, KeyOnly())
 
 
 class TestPolynomialArithmetic:
@@ -336,6 +461,23 @@ class TestNormalForm:
                     assert not all(a <= b for a, b in zip(le, e))
 
 
+def test_oracle_shares_no_kernel_code():
+    # the oracle re-checks the kernel's bases, so it imports only public names
+    # of sympow (no helper of the packed kernel), no sympow module whole, and
+    # reads no private attribute
+    tree = ast.parse(Path(basis_oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("sympow"):
+            imported += [a.name for a in node.names]
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("sympow")]
+        elif isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_"), node.attr
+    assert "buchberger" in imported
+
+
 def long_division(f, G, order):
     """Reference remainder: textbook division with Fraction arithmetic, the
     largest term first, reduced by the first element of G whose leading
@@ -379,8 +521,28 @@ def rational_polynomial(rng, ring, lead=None, order=DEGREVLEX):
     return f
 
 
+def kernel_normal_form(f, G, order):
+    """The packed kernel's remainder of f modulo G as a Fraction polynomial:
+    `_reduce_dict`'s remainder divided by its scale and by the denominator
+    cleared from f."""
+    L = gb._Layout(order, f.ring.nvars, gb._WIDTH)
+    terms, den = gb._integer_terms(f.coeffs)
+    r, scale = gb._reduce_dict(L.pack_terms(terms), gb._prepare_divisors(G, L), L)
+    return Polynomial(f.ring, {e: Fraction(c, scale * den) for e, c in L.unpack_terms(r).items()})
+
+
+def kernel_s_polynomial(f, g, order):
+    """The packed kernel's `_s_terms` of f and g, scaled to lcm/lt(f)*f - lcm/lt(g)*g."""
+    L = gb._Layout(order, f.ring.nvars, gb._WIDTH)
+    a, b = gb._prepare_divisors((f, g), L)
+    terms = gb._s_terms(a, b, L.lcm(a[0], b[0]), L)
+    scale = Fraction(gcd(a[1], b[1]), a[1] * b[1])
+    return Polynomial(f.ring, {e: c * scale for e, c in L.unpack_terms(terms).items()})
+
+
 class TestDivisionReference:
-    """normal_form and s_polynomial against Fraction arithmetic, with divisors
+    """The packed kernel's reduction and S-polynomial, and the oracle's
+    normal_form and s_polynomial, against Fraction arithmetic, with divisors
     whose leading coefficients are not units of the integers (the paper's
     ideals have leading coefficients 1 and -1 only)."""
 
@@ -394,7 +556,9 @@ class TestDivisionReference:
             G = [rational_polynomial(rng, R3, rng.choice(self.LEADS), order)
                  for _ in range(rng.randint(1, 3))]
             f = rational_polynomial(rng, R3) * rational_polynomial(rng, R3)
-            assert normal_form(f, G, order) == long_division(f, G, order)
+            expected = long_division(f, G, order)
+            assert kernel_normal_form(f, G, order) == expected
+            assert normal_form(f, G, order) == expected
 
     @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
     def test_s_polynomial_matches_definition(self, R3, order):
@@ -406,6 +570,7 @@ class TestDivisionReference:
             L = tuple(max(a, b) for a, b in zip(ef, eg))
             lf = Polynomial(R3, {tuple(a - b for a, b in zip(L, ef)): 1 / cf})
             lg = Polynomial(R3, {tuple(a - b for a, b in zip(L, eg)): 1 / cg})
+            assert kernel_s_polynomial(f, g, order) == lf * f - lg * g
             assert s_polynomial(f, g, order) == lf * f - lg * g
 
 
@@ -479,6 +644,18 @@ def prime_power_fold(case, n, intersect):
 CASES = {"A6": builtin_case_A6, "A7": builtin_case_A7}
 
 
+class ReadCountingList(list):
+    """A divisor list that counts its item reads into calls["reads"]."""
+
+    def __init__(self, items, calls):
+        super().__init__(items)
+        self.calls = calls
+
+    def __getitem__(self, k):
+        self.calls["reads"] += 1
+        return super().__getitem__(k)
+
+
 class TestPinnedBases:
     """sha256 of repr(groebner_basis()) for the paper's ideals: a change to the
     pair selection or pruning that alters any basis byte fails here. The
@@ -508,14 +685,14 @@ class TestPinnedBases:
         basis = colon_ideal(case, case.witness).groebner_basis()
         assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("name, fold, formed, lcms, divides", [
-        ("A6", "_eliminate", 291, 1426, 1385),
-        ("A7", "_eliminate", 298, 1497, 1006),
-        ("A6", "ideal_intersect", 81, 507, 776),
-        ("A7", "ideal_intersect", 30, 246, 176),
+    @pytest.mark.parametrize("name, fold, formed, lcms, reads", [
+        ("A6", "_eliminate", 291, 1426, 4268),
+        ("A7", "_eliminate", 298, 1497, 2225),
+        ("A6", "ideal_intersect", 81, 507, 3046),
+        ("A7", "ideal_intersect", 30, 246, 540),
     ], ids=["A6", "A7", "A6-dispatch", "A7-dispatch"])
     def test_s_polynomials_formed_by_the_square_fold(self, name, fold, formed, lcms,
-                                                     divides, monkeypatch):
+                                                     reads, monkeypatch):
         # a pair criterion that wrongly keeps a pair still ends at the same
         # reduced basis, only slower; the count of S-polynomials shows it.
         # The lcms count the pair candidates, so a stale element that the
@@ -524,26 +701,111 @@ class TestPinnedBases:
         # fold intersects the monomial primes with rings._intersection, whose
         # lcms are counted too. It forms lcms only between the generators
         # that do not lie in the other ideal, so its count is the smaller one.
-        # The kernel's exponent divisibility tests are counted as well: a
-        # reduction that rescans the divisor list from its start, instead
-        # of resuming where the first-divisor memo says, adds to them
-        calls = {"_s_terms": 0, "_exp_lcm": 0, "_exp_divides": 0}
+        # The reductions' reads of their divisor lists are counted as well
+        # (one per guard-bit test, one per divisor used): a reduction that
+        # rescans the divisor list from its start, instead of resuming where
+        # the first-divisor memo says, adds to them
+        calls = {"_s_terms": 0, "lcm": 0, "reads": 0}
 
-        def counting(module, name):
-            run = getattr(module, name)
+        def counting(owner, name, key):
+            run = getattr(owner, name)
 
             def counted(*args):
-                calls[name] += 1
+                calls[key] += 1
                 return run(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
-        counting(gb, "_s_terms")
-        counting(gb, "_exp_lcm")
-        counting(rings, "_exp_lcm")
-        counting(gb, "_exp_divides")
+        counting(gb, "_s_terms", "_s_terms")
+        counting(gb._Layout, "lcm", "lcm")
+        counting(rings, "_exp_lcm", "lcm")
+        reduce_dict = gb._reduce_dict
+        monkeypatch.setattr(gb, "_reduce_dict", lambda p, divisors, *rest: reduce_dict(
+            p, ReadCountingList(divisors, calls), *rest))
         prime_power_fold(CASES[name](), 2, getattr(gb, fold))
-        assert calls == {"_s_terms": formed, "_exp_lcm": lcms, "_exp_divides": divides}
+        assert calls == {"_s_terms": formed, "lcm": lcms, "reads": reads}
+
+    def test_memo_resumes_the_divisor_scan(self, R3):
+        # x finds no divisor in [y]; once x joins, the shared memo resumes
+        # the search at index 1: one read to test x, one to use it. A fresh
+        # memo tests y again
+        calls = {"reads": 0}
+        L = gb._Layout(DEGREVLEX, 3, gb._WIDTH)
+        y, x = gb._prepare_divisors([poly(R3, "y"), poly(R3, "x")], L)
+        p = L.pack_terms({(1, 0, 0): 1})
+        first = {}
+        assert gb._reduce_dict(p, ReadCountingList([y], calls), L, first) == (p, 1)
+        assert calls["reads"] == 1
+        assert gb._reduce_dict(p, ReadCountingList([y, x], calls), L, first) == ({}, 1)
+        assert calls["reads"] == 3
+        assert gb._reduce_dict(p, ReadCountingList([y, x], calls), L) == ({}, 1)
+        assert calls["reads"] == 6
+
+
+class TestWidening:
+    """A kernel run with a packed value past its field width restarts at
+    double width and ends at the same exact basis."""
+
+    @staticmethod
+    def widths(monkeypatch):
+        """The field width of each pair-loop run, in call order."""
+        runs, run = [], gb._groebner_entries
+
+        def recorded(gens, L):
+            runs.append(L.width)
+            return run(gens, L)
+
+        monkeypatch.setattr(gb, "_groebner_entries", recorded)
+        return runs
+
+    def test_wide_input_reruns_wider(self, R3, monkeypatch):
+        # x^40000 - y does not pack into 16-bit fields (top 32767). Reduced by
+        # y - z it is x^40000 - z, whose lead is coprime to y: that is the basis
+        runs = self.widths(monkeypatch)
+        gens = [poly(R3, "x^40000 - y"), poly(R3, "y - z")]
+        basis = buchberger(gens)
+        assert runs == [16, 32]
+        assert basis == (poly(R3, "x^40000 - z"), poly(R3, "y - z"))
+        verify_basis(gens, basis, DEGREVLEX)
+
+    def test_lcm_overflow_alone_reruns(self, R3, monkeypatch):
+        # x^20000 - z and y^20000 - z pack at 16 bits and neither reduces the
+        # other; the lcm of their leads, of degree 40000, is the one value of
+        # the first run past its fields
+        runs, raised, lcm = self.widths(monkeypatch), [], gb._Layout.lcm
+
+        def recorded_lcm(L, a, b):
+            try:
+                return lcm(L, a, b)
+            except gb._Overflow:
+                raised.append(L.width)
+                raise
+
+        monkeypatch.setattr(gb._Layout, "lcm", recorded_lcm)
+        gens = [poly(R3, "x^20000 - z"), poly(R3, "y^20000 - z")]
+        basis = buchberger(gens)
+        assert (runs, raised) == ([16, 32], [16])
+        assert basis == tuple(gens)
+        verify_basis(gens, basis, DEGREVLEX)
+
+    def test_elimination_reruns_wider(self, R3):
+        # (x^40000 - y) ∩ (z) is spanned by the product of the two coprime generators
+        K = ideal_intersect(pideal(R3, "x^40000 - y"), pideal(R3, "z"))
+        assert K._basis[0].width == 32
+        assert K.generators == (poly(R3, "x^40000*z - y*z"),)
+
+    def test_bases_at_two_widths_compare_exactly(self, R3):
+        # (x - y, x^40000 - y^40000) = (x - y): one basis is packed at 32 bits
+        wide = PolyIdeal(R3, [poly(R3, "x - y"), poly(R3, "x^40000 - y^40000")])
+        narrow = pideal(R3, "x - y")
+        assert ideal_equals(wide, narrow) and ideal_equals(narrow, wide)
+        assert (wide._entries()[0].width, narrow._entries()[0].width) == (32, 16)
+        assert wide.groebner_basis() == narrow.groebner_basis()
+        assert not ideal_equals(wide, pideal(R3, "x - z"))
+        # a member wider than the basis is reduced against the basis repacked
+        assert narrow.member(poly(R3, "x^40000 - y^40000"))
+        assert not narrow.member(poly(R3, "x^40000 - z^40000"))
+        assert narrow._entries()[0].width == 16
 
 
 class TestIdealOps:
@@ -696,17 +958,28 @@ class TestIntersect:
 
 
 def eliminate_reducing_everything(I, J):
-    """The basis _eliminate used to hand over: reduce the whole block-order
-    basis, then keep its w-free entries with w dropped."""
+    """The basis _eliminate used to hand over, as unpacked term dicts: reduce
+    the whole block-order basis, then keep its w-free entries with w dropped."""
     ext = gb._extended_ring(I.ring)
     w = Polynomial.variable(ext, gb.AUX_VARIABLE)
     one_minus_w = Polynomial.constant(ext, 1) - w
     gens = [w * gb._lift(g, ext) for g in I.generators]
     gens += [one_minus_w * gb._lift(g, ext) for g in J.generators]
-    order = BlockElimination(1)
-    full = gb._reduced_entries(gb._groebner_entries(gens, order), order)
-    return [(de[1:], dc, {e[1:]: c for e, c in terms.items()}, dmask >> 1)
-            for de, dc, terms, dmask in full if de[0] == 0]
+    L = gb._Layout(BlockElimination(1), ext.nvars, gb._WIDTH)
+    full = gb._reduced_entries(gb._groebner_entries(gens, L), L)
+    return [{e[1:]: c for e, c in L.unpack_terms(terms).items()}
+            for de, _, terms, _ in full if L.unpack(de)[0] == 0]
+
+
+def assert_handed_over(K, expected):
+    """K holds the degrevlex entries packed from the expected term dicts
+    (largest lead first), and its generators are those dicts made primitive
+    with the lex-leading term positive."""
+    L, entries = K._basis
+    assert L.order == DEGREVLEX and L.width == gb._WIDTH
+    assert entries == [gb._entry(L.pack_terms(t), L) for t in expected]
+    assert [L.unpack_terms(t) for _, _, t, _ in entries] == expected
+    assert K.generators == tuple(Polynomial(K.ring, gb._primitive(t)) for t in expected)
 
 
 def sum_by_list_scan(I, J):
@@ -728,10 +1001,12 @@ def product_by_list_scan(I, J):
 
 
 def lcm_basis_by_entries(I, J):
-    """The lcm branch's basis as it used to be built: a divisor entry for
-    every pairwise lcm, minimalized and ordered by _reduced_entries."""
+    """The lcm branch's basis as it used to be built, unpacked: a divisor
+    entry for every pairwise lcm, minimalized and ordered by _reduced_entries."""
     lcms = {rings._exp_lcm(*g.coeffs, *h.coeffs) for g in I.generators for h in J.generators}
-    return gb._reduced_entries([gb._entry({L: 1}, DEGREVLEX) for L in lcms], DEGREVLEX)
+    L = gb._Layout(DEGREVLEX, I.ring.nvars, gb._WIDTH)
+    entries = gb._reduced_entries([gb._entry({L.pack(e): 1}, L) for e in lcms], L)
+    return [L.unpack_terms(t) for _, _, t, _ in entries]
 
 
 def same_ring_pairs(rng, count, draw):
@@ -749,10 +1024,7 @@ class TestKernelShortcuts:
 
     def test_eliminate_reduces_only_the_kept_entries_random(self):
         for I, J in same_ring_pairs(seeded(412), 80, random_poly_ideal):
-            K = gb._eliminate(I, J)
-            expected = eliminate_reducing_everything(I, J)
-            assert K._basis == expected
-            assert K.generators == tuple(Polynomial(I.ring, t) for _, _, t, _ in expected)
+            assert_handed_over(gb._eliminate(I, J), eliminate_reducing_everything(I, J))
 
     @pytest.mark.parametrize("name", ["A6", "A7"])
     def test_eliminate_reduces_only_the_kept_entries_square_fold(self, name):
@@ -762,7 +1034,7 @@ class TestKernelShortcuts:
             P = ideal_power(p, 2)
             expected = eliminate_reducing_everything(inter, P)
             inter = gb._eliminate(inter, P)
-            assert inter._basis == expected
+            assert_handed_over(inter, expected)
 
     def test_sum_and_product_keep_the_list_scan_order_random(self):
         rng = seeded(413)
@@ -788,7 +1060,7 @@ class TestKernelShortcuts:
                                       for g in K.generators])
 
         for I, J in same_ring_pairs(rng, 100, draw):
-            assert ideal_intersect(I, J)._basis == lcm_basis_by_entries(I, J)
+            assert_handed_over(ideal_intersect(I, J), lcm_basis_by_entries(I, J))
 
 
 class TestPairLoopLeads:
@@ -800,7 +1072,8 @@ class TestPairLoopLeads:
         for _ in range(40):
             I = random_poly_ideal(rng)
             for order in (DEGREVLEX, BlockElimination(1)):
-                entries = gb._groebner_entries(I.generators, order)
+                L = gb._Layout(order, I.ring.nvars, gb._WIDTH)
+                entries = gb._groebner_entries(I.generators, L)
                 assert len({d[0] for d in entries}) == len(entries)
 
     def test_divided_leads_are_distinct_random(self):
@@ -811,7 +1084,7 @@ class TestPairLoopLeads:
             if f.is_zero():
                 continue
             gens = ideal_quotient(I, f).generators
-            entries = gb._prepare_divisors(gens, DEGREVLEX)
+            entries = gb._prepare_divisors(gens, gb._Layout(DEGREVLEX, I.ring.nvars, gb._WIDTH))
             assert len({d[0] for d in entries}) == len(entries)
 
 

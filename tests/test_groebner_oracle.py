@@ -186,7 +186,9 @@ def test_lcm_intersection_matches_elimination(pair):
     J = PolyIdeal(ring, [Polynomial(ring, g) for g in J_gens])
     by_lcm = ideal_intersect(I, J)
     by_elimination = gb._eliminate(I, J)
-    assert by_lcm._basis == by_elimination._basis
+    # both bases are packed at the starting width, entry for entry equal
+    assert by_lcm._basis[0].width == by_elimination._basis[0].width == gb._WIDTH
+    assert by_lcm._basis[1] == by_elimination._basis[1]
     assert by_lcm.generators == by_elimination.generators
     assert str(by_lcm) == str(by_elimination)
 
@@ -201,8 +203,10 @@ def test_lcm_intersection_matches_elimination(pair):
 def test_shared_memo_matches_fresh_reductions(order, run):
     # the kernel's use: one memo while the divisor list only grows at its end
     divisor_terms, steps = run
+    L = gb._Layout(order, len(next(iter(divisor_terms[0]))), gb._WIDTH)
     divisors, first = [], {}
     for length, p in steps:
         while len(divisors) < length:
-            divisors.append(gb._entry(divisor_terms[len(divisors)], order))
-        assert gb._reduce_dict(p, divisors, order, first) == gb._reduce_dict(p, divisors, order)
+            divisors.append(gb._entry(L.pack_terms(divisor_terms[len(divisors)]), L))
+        p = L.pack_terms(p)
+        assert gb._reduce_dict(p, divisors, L, first) == gb._reduce_dict(p, divisors, L)
