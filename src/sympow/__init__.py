@@ -29,9 +29,6 @@ from .decomp import (
     symbolic_power_squarefree,
 )
 from .groebner import (
-    DEGREVLEX,
-    BlockElimination,
-    DegRevLex,
     InternalInvariantError,
     PolyIdeal,
     Polynomial,
@@ -55,6 +52,6 @@ from .ideal_files import (
     parse_polynomial,
 )
 from .ideals import DegreeStats, MonomialIdeal, minimalize
-from .rings import Monomial, Ring, RingMismatchError
+from .rings import DEGREVLEX, BlockElimination, DegRevLex, Monomial, Ring, RingMismatchError
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
-from .rings import Monomial, Ring, _exp_lcm, _minimal, _packed_scan, check_same_ring
+from .rings import DEGREVLEX, Monomial, Ring, _exp_lcm, _Layout, _minimal, _packed_scan, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -46,7 +46,9 @@ class VariablePrime:
             raise ValueError("a variable prime needs at least one variable")
         if list(self.variables) != sorted(set(self.variables)):
             raise ValueError("variable indices must be sorted and distinct")
-        if self.variables[-1] >= self.ring.nvars or self.variables[0] < 0:
+        # a float or Fraction index makes the sum a non-int
+        if (not isinstance(sum(self.variables), int) or self.variables[0] < 0
+                or self.variables[-1] >= self.ring.nvars):
             raise ValueError("variable index out of range")
 
     @property
@@ -107,42 +109,12 @@ def _all_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(I.ring, _minimal([_exp_lcm(u, v) for u in I.exps for v in J.exps]))
 
 
-class _Packing:
-    """Exponent tuples packed into one int each, for the two squarefree folds.
-
-    Each of the nvars variables gets a field of w = top.bit_length() + 1 bits,
-    x0 highest, and the degree gets one more field above them, where top bounds
-    every degree packed. So the int order is the (degree, exponents) order. The
-    top bit of each field is a guard bit, never set by a packed tuple, and
-    ``guard`` is their mask: subtracting m from e | guard clears a field's guard
-    bit exactly when m's field exceeds e's, and no borrow crosses a field, so m
-    divides e exactly when ((e | guard) - m) & guard == guard (Bachmann and
-    Schönemann, "Monomial representations for Gröbner bases computations",
-    ISSAC 1998).
-    """
-
-    __slots__ = ("shifts", "dshift", "field", "ones", "guard")
-
-    def __init__(self, nvars, top):
-        w = top.bit_length() + 1
-        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
-        self.dshift = w * nvars
-        self.field = (1 << w) - 1
-        self.ones = sum(1 << s for s in self.shifts)
-        self.guard = (self.ones + (1 << self.dshift)) << (w - 1)
-
-    def pack(self, e):
-        return sum(x << s for x, s in zip(e, self.shifts)) + (sum(e) << self.dshift)
-
-    def unpack(self, u):
-        return tuple(u >> s & self.field for s in self.shifts)
-
-
 def _meet_prime_power(us, variables, n, L):
-    """The minimal packed tuples spanning I ∩ P^n, in no fixed order, for I
-    spanned by the minimal tuples us packed by the `_Packing` L, and P the
-    prime of the given variable indices (on non-minimal input the result can
-    keep redundant tuples). L must bound the degrees of the result.
+    """The minimal tuples spanning I ∩ P^n, in no fixed order, for I spanned
+    by the minimal tuples us and P the prime of the given variable indices (on
+    non-minimal input the result can keep redundant tuples). Every tuple is an
+    int in the exponent form u ^ L.unit of a degrevlex `rings._Layout` L whose
+    top bounds the degrees of the result.
 
     A monomial lies in P^n when its P-degree is at least n, so I ∩ P^n =
     Σ_u u·P^max(0, n - deg_P u) (Miller-Sturmfels, Combinatorial Commutative
@@ -151,15 +123,18 @@ def _meet_prime_power(us, variables, n, L):
     another only if both have the same P-part q and its rest (P's coordinates
     set to 0) divides the other's. So each u is split once, `_packed_scan`
     keeps the minimal rests under each q, and a product is built only for a
-    survivor. Multiplying a P-part by L.ones adds its fields into x0's.
+    survivor. The P-degree is the sum of the P-part's fields, formed in the
+    degree field by the multiplier of L.sums, as `_Layout.lcm` forms a degree;
+    the degree comes first in the int order, so sorted rests list divisors
+    first.
     """
-    shifts, dshift, ones, field = L.shifts, L.dshift, L.ones, L.field
-    pfields = sum(field << shifts[i] for i in variables)
+    shifts, (dshift,), ((_, ones, dmask),) = L.shifts, L.dshifts, L.sums
+    pfields = sum(L.top << shifts[i] for i in variables)
     parts, groups, powers, out = {}, {}, {}, []
     for u in us:
         parts.setdefault(u & pfields, []).append(u)
     for part, group in parts.items():
-        d = (part * ones >> shifts[0]) & field
+        d = (part * ones & dmask) >> dshift
         if d > n:
             out += group
             continue
@@ -190,11 +165,11 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
             "minimal primes need a squarefree ideal; pass radical() "
             "or use the irreducible decomposition"
         )
-    L = _Packing(I.ring.nvars, I.ring.nvars)
-    dual = [L.pack((0,) * I.ring.nvars)]
+    L = _Layout(DEGREVLEX, I.ring.nvars, I.ring.nvars.bit_length() + 1)
+    dual = [0]  # the unit ideal: the zero tuple's exponent form is 0
     for g in I.exps:
         dual = _meet_prime_power(dual, [i for i, x in enumerate(g) if x], 1, L)
-    primes = [VariablePrime(I.ring, tuple(i for i, x in enumerate(L.unpack(u)) if x)) for u in dual]
+    primes = [VariablePrime(I.ring, tuple(i for i, x in enumerate(L.unpack(u ^ L.unit)) if x)) for u in dual]
     return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
 
@@ -259,11 +234,13 @@ def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
     # every exponent stays at most n
-    L = _Packing(I.ring.nvars, n * I.ring.nvars)
-    us = [L.pack((0,) * I.ring.nvars)]
+    L = _Layout(DEGREVLEX, I.ring.nvars, (n * I.ring.nvars).bit_length() + 1)
+    us = [0]
     for p in minimal_variable_primes(I):
         us = _meet_prime_power(us, p.variables, n, L)
-    return MonomialIdeal._from_minimal(I.ring, [L.unpack(u) for u in sorted(us)])
+    exps = sorted(L.unpack(u ^ L.unit) for u in us)
+    exps.sort(key=sum)  # stable, so by (degree, exponents)
+    return MonomialIdeal._from_minimal(I.ring, exps)
 
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:

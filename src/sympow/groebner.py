@@ -1,23 +1,22 @@
 """Exact Groebner-basis kernel over the rationals.
 
-Sparse polynomials with Fraction coefficients, block monomial orders,
-multivariate division, Buchberger with the Gebauer-Moeller pair update,
-reduced bases, and the ideal operations built on them: membership, sum,
-product, power, intersection (by lcms for monomial ideals, by elimination
-otherwise), colon by a polynomial, equality. The kernel runs on packed
-monomials (`_Layout`) and integer coefficients; public polynomials keep
-exponent tuples and Fraction coefficients.
+Sparse polynomials with Fraction coefficients, multivariate division,
+Buchberger with the Gebauer-Moeller pair update, reduced bases, and the ideal
+operations built on them: membership, sum, product, power, intersection (by
+lcms for monomial ideals, by elimination otherwise), colon by a polynomial,
+equality, under the block monomial orders of `rings`. The kernel runs on
+packed monomials (`rings._Layout`) and integer coefficients; public
+polynomials keep exponent tuples and Fraction coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul, neg
 
-from .rings import Monomial, Ring, _exp_mul, _intersection, _packed_scan, check_same_ring
+from .rings import (DEGREVLEX, BlockElimination, Monomial, MonomialOrder, Ring, _exp_mul, _intersection,
+                    _Layout, _Overflow, _packed_scan, check_same_ring)
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
 _WIDTH = 16  # bits per packed field, guard bit included, as a kernel run starts
@@ -25,132 +24,6 @@ _WIDTH = 16  # bits per packed field, guard bit included, as a kernel run starts
 
 class InternalInvariantError(RuntimeError):
     """A computation violated one of its own invariants (a bug, not bad input)."""
-
-
-class _Overflow(Exception):
-    """A packed monomial left its fields: the kernel run restarts at double width."""
-
-
-# ---------------------------------------------------------------------------
-# monomial orders
-
-
-class MonomialOrder:
-    """Total, multiplicative well-order on exponent vectors, given as
-    ``blocks``: (kind, size) pairs, most significant first, the last size
-    None for the remaining variables. A "grevlex" block compares degrees,
-    then the smaller last exponent wins; a "lex" block compares exponents in
-    turn. ``key`` maps an exponent tuple to a tuple of ints that compares the
-    same way. The Groebner kernel packs by the blocks, so an order that
-    defines only ``key`` raises TypeError there."""
-
-    blocks = None
-
-    def spans(self, nvars):
-        """(kind, start, stop) of each block over nvars variables."""
-        if self.blocks is None:
-            raise TypeError(f"{self!r} lists no blocks; the Groebner kernel needs them")
-        out, lo = [], 0
-        for kind, size in self.blocks:
-            hi = nvars if size is None else min(lo + size, nvars)
-            out.append((kind, lo, hi))
-            lo = hi
-        return out
-
-    def key(self, exps):
-        out = []
-        for kind, lo, hi in self.spans(len(exps)):
-            part = exps[lo:hi]
-            out += (sum(part), *map(neg, reversed(part))) if kind == "grevlex" else part
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class DegRevLex(MonomialOrder):
-    blocks = (("grevlex", None),)
-
-
-@dataclass(frozen=True)
-class BlockElimination(MonomialOrder):
-    """Degrevlex on the first ``first_k`` variables, then on the rest: an
-    element whose lead avoids the first block is free of it (elimination)."""
-
-    first_k: int
-
-    def __post_init__(self):
-        if self.first_k < 1:
-            raise ValueError("the first block needs at least one variable")
-
-    @property
-    def blocks(self):
-        return (("grevlex", self.first_k), ("grevlex", None))
-
-
-DEGREVLEX = DegRevLex()
-
-
-class _Layout:
-    """Exponent vectors packed into ints whose int order is the term order
-    (Bachmann and Schönemann, ISSAC 1998). A field has ``width`` bits, the top
-    one a guard bit, and holds 0..top. Blocks go most significant first: a
-    grevlex block stores its degree, then top - e_i, the last variable
-    highest; a lex block stores e_i, the first highest. Packing is affine
-    (``unit`` packs 0): a product is a + b - unit, x^(e - d)·t is t + e - d.
-    Each field of such a sum of valid ints lies in -top..2·top and the lowest
-    one out of range sets its guard bit, so the sum is valid exactly when it
-    has no bit of ``guard``. In the exponent form u ^ unit every field is
-    plain: d | e exactly when (((e ^ unit) | guard) - (d ^ unit)) & guard == guard."""
-
-    def __init__(self, order, nvars, width):
-        self.order, self.width, self.top = order, width, (1 << width - 1) - 1
-        top, s = self.top, 0
-        self.shifts, self.coefs, self.dshifts, self.sums = [0] * nvars, [0] * nvars, [], []
-        self.unit = self.vguard = 0
-        for kind, lo, hi in reversed(order.spans(nvars)):
-            graded, base = kind == "grevlex", s
-            for i in range(lo, hi) if graded else range(hi - 1, lo - 1, -1):  # lowest first
-                self.shifts[i], self.coefs[i] = s, -(1 << s) if graded else 1 << s
-                self.unit += top << s if graded else 0
-                self.vguard |= 1 << s + width - 1
-                s += width
-            if graded:  # the degree field; an lcm's rise is summed into it by one product
-                for i in range(lo, hi):
-                    self.coefs[i] += 1 << s
-                self.dshifts.append(s)
-                self.sums.append((self.unit >> base << base,
-                                  sum(1 << j * width for j in range(1, hi - lo + 1)), top << s))
-                s += width
-        self.bits, self.guard = s, sum(1 << f + width - 1 for f in range(0, s, width))
-
-    def pack(self, e):
-        if sum(e) > self.top:  # a degree within top bounds every field
-            raise _Overflow
-        return self.unit + sum(map(mul, e, self.coefs))
-
-    def unpack(self, u):
-        u ^= self.unit
-        return tuple(u >> s & self.top for s in self.shifts)
-
-    def pack_terms(self, terms):
-        return {self.pack(e): c for e, c in terms.items()}
-
-    def unpack_terms(self, terms):
-        return {self.unpack(u): c for u, c in terms.items()}
-
-    def lcm(self, a, b):
-        """In exponent form, the field-wise max of the variable fields, and
-        each grevlex degree raised by its variables' rise over b."""
-        unit = self.unit
-        a ^= unit
-        b ^= unit
-        take_a = (((a | self.guard) - b) & self.vguard) >> self.width - 1
-        m = b ^ (a ^ b) & take_a * self.top
-        rise = m - b
-        for vmask, ones, dmask in self.sums:
-            m += (rise & vmask) * ones & dmask
-        if m & self.guard:
-            raise _Overflow
-        return m ^ unit
 
 
 def _widen(run, L):

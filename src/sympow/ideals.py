@@ -76,7 +76,7 @@ class MonomialIdeal:
     def from_variables(cls, ring: Ring, indices) -> MonomialIdeal:
         exps = []
         for i in indices:
-            if not 0 <= i < ring.nvars:
+            if not (isinstance(i, int) and 0 <= i < ring.nvars):  # a non-integer index matches no variable
                 raise ValueError("variable index out of range")
             exps.append(tuple(int(j == i) for j in range(ring.nvars)))
         return cls._from_minimal(ring, _minimal(exps))

@@ -342,12 +342,13 @@ class TestMeetPrimePower:
 
     @staticmethod
     def meet(exps, variables, n):
-        # packed wide enough for every product, which adds at most n to a degree;
-        # the meet's tuples come in no fixed order; a sorted list, not a set,
-        # so that a repeated tuple still fails against the kernel
-        L = decomp._Packing(len(exps[0]), max(map(sum, exps)) + n)
-        out = decomp._meet_prime_power([L.pack(e) for e in exps], variables, n, L)
-        return sorted((L.unpack(u) for u in out), key=lambda e: (sum(e), e))
+        # in the exponent form of a layout wide enough for every product, which
+        # adds at most n to a degree; the meet's tuples come in no fixed order;
+        # a sorted list, not a set, so that a repeated tuple still fails against
+        # the kernel
+        L = rings._Layout(rings.DEGREVLEX, len(exps[0]), (max(map(sum, exps)) + n).bit_length() + 1)
+        out = decomp._meet_prime_power([L.pack(e) ^ L.unit for e in exps], variables, n, L)
+        return sorted((L.unpack(u ^ L.unit) for u in out), key=lambda e: (sum(e), e))
 
     def test_matches_the_kernel(self):
         rng = seeded(207)
@@ -427,7 +428,7 @@ class TestMeetPrimePower:
         def tracked_meet(us, variables, n, L):
             # each rest (P's coordinates set to 0) and the P-parts its products have
             reach = {}
-            for u in map(L.unpack, us):
+            for u in (L.unpack(v ^ L.unit) for v in us):
                 k = n - sum(u[i] for i in variables)
                 rest = tuple(0 if i in variables else x for i, x in enumerate(u))
                 for c in combinations_with_replacement(variables, k) if k >= 0 else ():
@@ -438,7 +439,7 @@ class TestMeetPrimePower:
         def tracked_scan(rests, guard):
             reach, _, L = reaches[-1]
             # every item is a rest of the meet's input, and all reach one P-part
-            common = set.intersection(*(reach.get(L.unpack(r), set()) for r in rests))
+            common = set.intersection(*(reach.get(L.unpack(r ^ L.unit), set()) for r in rests))
             assert common
             calls.append(len(rests))
             return scan(rests, guard)
@@ -468,60 +469,14 @@ class TestMeetPrimePower:
         assert symbolic_power_saturation(ex31.ideal, 2, primes="ass") == ex31.expected_square
 
 
-class TestPacking:
-    """`decomp._Packing`, the packed exponent tuples of the squarefree folds."""
-
-    @staticmethod
-    def cases():
-        # random tuples in each of 1-16 variables below a random top, with the
-        # zero tuple, tuples of degree exactly top and tuples with all of top
-        # on one variable among them; each with a divisor of it, so that both
-        # answers of the guard test occur
-        rng = seeded(211)
-        for k in range(300):
-            nvars, top = 1 + k % 16, rng.randint(1, 40)
-
-            def draw(degree):
-                e = [0] * nvars
-                for _ in range(degree):
-                    e[rng.randrange(nvars) if rng.random() < 0.7 else 0] += 1
-                return tuple(e)
-
-            tuples = [(0,) * nvars, draw(top), (top,) + (0,) * (nvars - 1)]
-            tuples += [draw(rng.choice((0, top, rng.randint(0, top)))) for _ in range(5)]
-            tuples += [tuple(rng.randint(0, x) for x in e) for e in tuples]
-            yield decomp._Packing(nvars, top), tuples
-
-    def test_unpack_inverts_pack(self):
-        for L, tuples in self.cases():
-            for e in tuples:
-                assert L.unpack(L.pack(e)) == e
-                assert L.pack(e) & L.guard == 0
-
-    def test_int_order_is_degree_then_exponents(self):
-        for L, tuples in self.cases():
-            for e, m in product(tuples, repeat=2):
-                assert (L.pack(e) < L.pack(m)) == ((sum(e), e) < (sum(m), m))
-
-    def test_guard_bits_compare_each_field(self):
-        # each guard bit of (e | guard) - m tells whether m's field is at most
-        # e's, the degree field included; all of them together give divisibility
-        seen = {True: 0, False: 0}
-        for L, tuples in self.cases():
-            w = L.field.bit_length()
-            for e, m in product(tuples, repeat=2):
-                bits = (L.pack(e) | L.guard) - L.pack(m)
-                fields = list(zip(m, e)) + [(sum(m), sum(e))]
-                for s, (x, y) in zip(L.shifts + (L.dshift,), fields):
-                    assert (bits >> (s + w - 1) & 1) == (x <= y)
-                divides = bits & L.guard == L.guard
-                assert divides == rings._exp_divides(m, e)
-                seen[divides] += 1
-        assert all(seen.values())
-
-
 class TestVariablePrime:
     def test_outside_product(self):
         R = Ring(("x", "y", "z"))
         P = VariablePrime(R, (1,))
         assert P.outside_product() == mono(R, "x*z")
+
+    @pytest.mark.parametrize("variables", [(0.5,), (0, 3), (-1, 0)])
+    def test_refuses_an_index_out_of_range(self, variables):
+        # a non-integer index names no variable; taken as one, (0.5,) would span (1)
+        with pytest.raises(ValueError, match="variable index out of range"):
+            VariablePrime(Ring(("x", "y", "z")), variables)

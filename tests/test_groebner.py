@@ -23,6 +23,7 @@ from conftest import (
     seeded,
 )
 
+import sympow.decomp as decomp
 import sympow.groebner as gb
 import sympow.ideals as ideals
 import sympow.rings as rings
@@ -128,6 +129,8 @@ class TestExponentHelpers:
             assert not hasattr(gb, name)
         for name in ("_minimal", "_intersection", "_has_divisor"):
             assert getattr(ideals, name) is getattr(rings, name)
+        # one packed layout, in rings, for the kernel and the squarefree folds
+        assert gb._Layout is rings._Layout and not hasattr(decomp, "_Packing")
         for a, b in self.pairs():
             mul = tuple(x + y for x, y in zip(a, b))
             divides = all(x <= y for x, y in zip(a, b))
@@ -295,11 +298,12 @@ def reference_pack(order, e, width):
 
 
 class TestLayout:
-    """The packed layout of the Groebner kernel against its definition, on
-    seeded tuples in 1 to 10 variables, under degrevlex, lex and block
-    elimination after 1, 2 or 3 variables. The narrow width makes many sums
-    leave their fields; tuples of degree exactly top, the zero tuple (every
-    complemented field at exactly top) and one-variable rings are included."""
+    """The packed layout of the Groebner kernel and the squarefree folds
+    against its definition, on seeded tuples in 1 to 10 variables, under
+    degrevlex, lex and block elimination after 1, 2 or 3 variables. The
+    narrow widths make many sums leave their fields; tuples of degree exactly
+    top, the zero tuple (every complemented field at exactly top) and
+    one-variable rings are included."""
 
     ORDERS = (DEGREVLEX, LEX, BlockElimination(1), BlockElimination(2), BlockElimination(3))
 
@@ -315,7 +319,7 @@ class TestLayout:
 
     def cases(self, seed):
         rng = seeded(seed)
-        for width in (5, 16):
+        for width in (2, 3, 5, 16):  # 2 and 3: the dual fold's layouts on 1-3 variables
             for n in range(1, 11):
                 for order in self.ORDERS:
                     L = gb._Layout(order, n, width)
@@ -346,6 +350,8 @@ class TestLayout:
                         continue
                     test = (((L.pack(b) ^ L.unit) | L.guard) - word) & L.guard == L.guard
                     assert test == rings._exp_divides(a, b)
+                    # `_packed_scan` needs a divisor's exponent form listed first
+                    assert not test or word <= L.pack(b) ^ L.unit
                     divisible += test
         assert divisible > 1000
 

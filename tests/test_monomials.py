@@ -39,7 +39,7 @@ class TestConstruction:
         assert m.exponents == (1, 0, 2) and m == t and hash(m) == hash(t)
         assert MonomialIdeal(R, [m]) == MonomialIdeal(R, [t])
 
-    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("index", [-1, 3, 0.5])
     def test_from_variables_refuses_an_index_out_of_range(self, index):
         with pytest.raises(ValueError, match="variable index out of range"):
             MonomialIdeal.from_variables(Ring(("x", "y", "z")), [0, index])
