@@ -48,6 +48,7 @@ class Polynomial:
     Instances are immutable by convention; all arithmetic returns new
     objects. Term order is a presentation concern: printing sorts the
     terms under degrevlex and never changes the stored term multiset.
+    Polynomials the library builds itself skip these checks (`_trusted`).
     """
 
     __slots__ = ("ring", "coeffs", "_hash")
@@ -71,6 +72,13 @@ class Polynomial:
                     clean[e] = c
         self.coeffs = clean
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, ring: Ring, coeffs) -> Polynomial:
+        """A polynomial the library built: ``coeffs`` maps valid tuples to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.ring, p.coeffs, p._hash = ring, coeffs, None
+        return p
 
     # -- constructors
 
@@ -138,12 +146,12 @@ class Polynomial:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.coeffs.items()})
+        return Polynomial._trusted(self.ring, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -161,9 +169,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial(self.ring)
-            return Polynomial(
-                self.ring, {e: c * other for e, c in self.coeffs.items()}
-            )
+            return Polynomial._trusted(self.ring, {e: c * other for e, c in self.coeffs.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -176,7 +182,7 @@ class Polynomial:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -217,7 +223,7 @@ class Polynomial:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = []
+        out = ""
         for e in sorted(self.coeffs, key=DEGREVLEX.key, reverse=True):
             m, c = Monomial(self.ring, e), self.coeffs[e]
             mag = abs(c)
@@ -227,12 +233,8 @@ class Polynomial:
                 body = str(m)
             else:
                 body = f"{mag}*{m}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            out += f" {'-' if c < 0 else '+'} {body}"
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -330,8 +332,13 @@ def _reduce_dict(p, divisors, L, first=None):
     return {e: c * (scale // s) for e, (c, s) in moved.items()}, scale
 
 
+def _packed(g, L):
+    """The packed integer term dict of the nonzero polynomial g: the kernel's input form."""
+    return L.pack_terms(_integer_terms(g.coeffs)[0])
+
+
 def _prepare_divisors(G, L):
-    return [_entry(L.pack_terms(_integer_terms(g.coeffs)[0]), L) for g in G if g]
+    return [_entry(_packed(g, L), L) for g in G if g]
 
 
 def _subtract(p, f, shift, terms, guard):
@@ -381,7 +388,7 @@ def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX)
                                              "expected to divide every element here")
             q[e - de + L.unit] = factor = p[e] / dterms[de]
             _subtract(p, factor, e - de, dterms, L.guard)
-        return Polynomial(f.ring, L.unpack_terms(q))
+        return Polynomial._trusted(f.ring, L.unpack_terms(q))
 
     return _widen(run, _Layout(order, f.ring.nvars, _WIDTH))
 
@@ -402,7 +409,7 @@ def _check_polynomials(generators):
 def _monic(ring, L, entry):
     """The monic Fraction polynomial of a divisor entry of the layout L."""
     _, dc, terms, _ = entry
-    return Polynomial(ring, {L.unpack(e): Fraction(c, dc) for e, c in terms.items()})
+    return Polynomial._trusted(ring, {L.unpack(e): Fraction(c, dc) for e, c in terms.items()})
 
 
 def _reduced_entries(divisors, L):
@@ -430,19 +437,19 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     ring = gens[0].ring
     for g in gens:
         check_same_ring(gens[0], g)
-    return _widen(lambda L: tuple(_monic(ring, L, e) for e in _reduced_entries(_groebner_entries(gens, L), L)),
-                  _Layout(order, ring.nvars, _WIDTH))
+    return _widen(lambda L: tuple(_monic(ring, L, e) for e in _reduced_entries(_groebner_entries(
+        [_packed(g, L) for g in gens], L), L)), _Layout(order, ring.nvars, _WIDTH))
 
 
 def _groebner_entries(gens, L):
-    """Divisor entries, packed by L, of a Groebner basis of nonzero polynomials
-    of one ring, in the order they joined it (primitive integer term dicts).
-    Pairs go smallest lcm first, grevlex degrees first, and are pruned by the
-    Gebauer-Moeller update as each element joins: old pairs fall to criterion
-    B, and of the new pairs one per minimal lcm stays (M and F), none when a
-    pair with that lcm has coprime leads (lcm = product). An element whose
-    lead a later one divides forms no more pairs but still reduces. The
-    divisor list only grows, so all reductions share one memo."""
+    """Divisor entries, packed by L, of a Groebner basis of the nonzero packed
+    integer term dicts gens, in the order they joined it. Pairs go smallest
+    lcm first, grevlex degrees first, and are pruned by the Gebauer-Moeller
+    update as each element joins: old pairs fall to criterion B, and of the
+    new pairs one per minimal lcm stays (M and F), none when a pair with that
+    lcm has coprime leads (lcm = product). An element whose lead a later one
+    divides forms no more pairs but still reduces. The divisor list only
+    grows, so all reductions share one memo."""
     unit, guard, top, lcm = L.unit, L.guard, L.top, L.lcm
     lms = []
     divisors = []  # divisor entries, in basis order
@@ -481,9 +488,8 @@ def _groebner_entries(gens, L):
         if r:
             append(_primitive(r))
 
-    # light interreduction of the inputs: one pass, keeps the pair queue small
-    for g in gens:
-        reduce_and_append(L.pack_terms(_integer_terms(g.coeffs)[0]))
+    for terms in gens:  # light interreduction of the inputs: one pass, keeps the pair queue small
+        reduce_and_append(terms)
 
     while heap:
         *_, i, j = heappop(heap)
@@ -522,8 +528,8 @@ class PolyIdeal:
 
     def _entries(self):
         if self._basis is None:
-            self._basis = _widen(lambda L: (L, _reduced_entries(_groebner_entries(self.generators, L), L)),
-                                 _Layout(DEGREVLEX, self.ring.nvars, _WIDTH))
+            self._basis = _widen(lambda L: (L, _reduced_entries(_groebner_entries(
+                [_packed(g, L) for g in self.generators], L), L)), _Layout(DEGREVLEX, self.ring.nvars, _WIDTH))
         return self._basis
 
     def groebner_basis(self):
@@ -540,7 +546,7 @@ class PolyIdeal:
         def run(L):  # the basis is repacked only when f needs a wider layout
             divisors = entries if L is basis else [
                 _entry(L.pack_terms(basis.unpack_terms(t)), L) for _, _, t, _ in entries]
-            return not _reduce_dict(L.pack_terms(_integer_terms(f.coeffs)[0]), divisors, L)[0]
+            return not _reduce_dict(_packed(f, L), divisors, L)[0]
 
         return _widen(run, basis)
 
@@ -555,9 +561,13 @@ class PolyIdeal:
 
 def _handed_over(ring, basis):
     """The ideal of a (layout, reduced entries) basis, which it keeps; its
-    generators are the entries with the lex-leading term positive."""
+    generators are the entries, primitive already, with the lex-leading
+    term made positive."""
     L, entries = basis
-    result = PolyIdeal(ring, [Polynomial(ring, _primitive(L.unpack_terms(t))) for _, _, t, _ in entries])
+    unpacked = [L.unpack_terms(t) for _, _, t, _ in entries]
+    signs = [1 if t[max(t)] > 0 else -1 for t in unpacked]
+    result = PolyIdeal(ring, [Polynomial._trusted(ring, {e: Fraction(s * c) for e, c in t.items()})
+                              for s, t in zip(signs, unpacked)])
     result._basis = basis
     return result
 
@@ -579,25 +589,24 @@ def ideal_product(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
 
 
 def ideal_power(I: PolyIdeal, n: int) -> PolyIdeal:
-    """I**n at generator level; n = 0 gives the unit ideal by convention."""
+    """I**n at generator level, ordered as ((I·I)·I)·I by `ideal_product`; n = 0 gives (1). A
+    product first occurs at its lex-least index tuple, non-decreasing, whose prefix is its
+    factor's: so a factor whose tuple ends in m is multiplied only by generators j >= m."""
     if n < 0:
         raise ValueError("ideal powers need n >= 0")
     if n == 0:
         return PolyIdeal(I.ring, (Polynomial.constant(I.ring, 1),))
-    result = I
+    if n == 1:
+        return I
+    gens = list(dict.fromkeys(I.generators))
+    level = {g: m for m, g in enumerate(gens)}  # product -> last index of its tuple
     for _ in range(n - 1):
-        result = ideal_product(result, I)
-    return result
-
-
-def _extended_ring(ring: Ring) -> Ring:
-    if AUX_VARIABLE in ring.variables:
-        raise ValueError(f"the variable name {AUX_VARIABLE!r} is reserved for elimination")
-    return Ring((AUX_VARIABLE,) + ring.variables)
-
-
-def _lift(f: Polynomial, ext: Ring) -> Polynomial:
-    return Polynomial(ext, {(0,) + e: c for e, c in f.coeffs.items()})
+        nxt = {}
+        for f, m in level.items():
+            for j in range(m, len(gens)):
+                nxt.setdefault(f * gens[j], j)
+        level = nxt
+    return PolyIdeal(I.ring, level)
 
 
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
@@ -623,26 +632,27 @@ def _eliminate(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     w-free leads sort first, so they reduce to exactly the w-free entries of
     the reduced block-order basis, the reduced degrevlex basis of I ∩ J.
     Below w's fields, which read (0, top) on a w-free monomial, the block
-    layout is the degrevlex layout M of the other variables."""
-    ext = _extended_ring(I.ring)
-    w = Polynomial.variable(ext, AUX_VARIABLE)
-    one_minus_w = Polynomial.constant(ext, 1) - w
-    gens = [w * _lift(g, ext) for g in I.generators]
-    gens += [one_minus_w * _lift(g, ext) for g in J.generators]
+    layout is the degrevlex layout M of the other variables: packed by M, a
+    term u is u + cut w-free, and u + cut + L.coefs[0] times w."""
+    if AUX_VARIABLE in I.ring.variables:
+        raise ValueError(f"the variable name {AUX_VARIABLE!r} is reserved for elimination")
 
     def run(L):
         M = _Layout(DEGREVLEX, I.ring.nvars, L.width)
+        cut, w = L.top << M.bits, L.coefs[0]
+        gens = [{u + cut + w: c for u, c in _packed(g, M).items()} for g in I.generators]
+        gens += [{u + cut + s: sign * c for s, sign in ((0, 1), (w, -1)) for u, c in terms.items()}
+                 for terms in (_packed(g, M) for g in J.generators)]
         kept = []
         for entry in _groebner_entries(gens, L):
             if entry[0] >> M.bits == L.top:
                 if any(e >> M.bits != L.top for e in entry[2]):
                     raise InternalInvariantError("w-free leading monomial but a w-bearing tail term")
                 kept.append(entry)
-        cut = L.top << M.bits
         return M, [_entry({e - cut: c for e, c in terms.items()}, M)
                    for _, _, terms, _ in _reduced_entries(kept, L)]
 
-    return _handed_over(I.ring, _widen(run, _Layout(BlockElimination(1), ext.nvars, _WIDTH)))
+    return _handed_over(I.ring, _widen(run, _Layout(BlockElimination(1), I.ring.nvars + 1, _WIDTH)))
 
 
 def ideal_quotient(I: PolyIdeal, f: Polynomial) -> PolyIdeal:

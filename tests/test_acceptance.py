@@ -31,6 +31,7 @@ from sympow import (
     BOUND_HUNEKE,
     BOUND_LCM,
     Polynomial,
+    Ring,
     bound_report,
     buchberger,
     ideal_equals,
@@ -73,12 +74,16 @@ def basis_log():
         # the pair loop returns a basis that is not yet reduced, and an
         # elimination reduces only its w-free part; reduce all of it here so
         # that every run is checked as the reduced basis of its generators
-        # (a run that overflows its layout raises before it is logged)
+        # (a run that overflows its layout raises before it is logged). The
+        # kernel takes packed integer term dicts; they are logged unpacked,
+        # as polynomials of a ring with one variable per field of the layout
         generators = tuple(generators)
         entries = run_kernel(generators, layout)
         reduced = gb._reduced_entries(entries, layout)
-        basis = tuple(gb._monic(generators[0].ring, layout, e) for e in reduced)
-        log.append(("buchberger", generators, basis, layout.order))
+        ring = Ring(tuple(f"v{i}" for i in range(len(layout.shifts))))
+        basis = tuple(gb._monic(ring, layout, e) for e in reduced)
+        inputs = tuple(Polynomial(ring, layout.unpack_terms(t)) for t in generators)
+        log.append(("buchberger", inputs, basis, layout.order))
         return entries
 
     def recording(path, run):

@@ -5,7 +5,7 @@ import hashlib
 import re
 from itertools import combinations_with_replacement
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import basis_oracle
@@ -754,14 +754,18 @@ class TestWidening:
 
     @staticmethod
     def widths(monkeypatch):
-        """The field width of each pair-loop run, in call order."""
-        runs, run = [], gb._groebner_entries
+        """The field width of each kernel run, in call order. A run packs its
+        inputs before the pair loop starts, so a run whose input overflows
+        never reaches the pair loop: the layouts that pack are recorded."""
+        runs, layouts, pack = [], [], gb._packed
 
-        def recorded(gens, L):
-            runs.append(L.width)
-            return run(gens, L)
+        def recorded(g, L):
+            if not layouts or layouts[-1] is not L:
+                layouts.append(L)
+                runs.append(L.width)
+            return pack(g, L)
 
-        monkeypatch.setattr(gb, "_groebner_entries", recorded)
+        monkeypatch.setattr(gb, "_packed", recorded)
         return runs
 
     def test_wide_input_reruns_wider(self, R3, monkeypatch):
@@ -965,14 +969,25 @@ class TestIntersect:
 
 def eliminate_reducing_everything(I, J):
     """The basis _eliminate used to hand over, as unpacked term dicts: reduce
-    the whole block-order basis, then keep its w-free entries with w dropped."""
-    ext = gb._extended_ring(I.ring)
+    the whole block-order basis, then keep its w-free entries with w dropped.
+    The generators w*g and (1-w)*g are formed as polynomials of a ring that
+    adjoins w, lifted and packed here, not by the kernel's packed path."""
+    ext = Ring((gb.AUX_VARIABLE,) + I.ring.variables)
+
+    def lift(g):
+        return Polynomial(ext, {(0,) + e: c for e, c in g.coeffs.items()})
+
     w = Polynomial.variable(ext, gb.AUX_VARIABLE)
     one_minus_w = Polynomial.constant(ext, 1) - w
-    gens = [w * gb._lift(g, ext) for g in I.generators]
-    gens += [one_minus_w * gb._lift(g, ext) for g in J.generators]
+    gens = [w * lift(g) for g in I.generators]
+    gens += [one_minus_w * lift(g) for g in J.generators]
     L = gb._Layout(BlockElimination(1), ext.nvars, gb._WIDTH)
-    full = gb._reduced_entries(gb._groebner_entries(gens, L), L)
+
+    def packed(g):  # integer multiple of g, then packed: every input the kernel gets is one
+        den = lcm(*(c.denominator for c in g.coeffs.values()))
+        return {L.pack(e): int(c * den) for e, c in g.coeffs.items()}
+
+    full = gb._reduced_entries(gb._groebner_entries([packed(g) for g in gens], L), L)
     return [{e[1:]: c for e, c in L.unpack_terms(terms).items()}
             for de, _, terms, _ in full if L.unpack(de)[0] == 0]
 
@@ -1068,6 +1083,81 @@ class TestKernelShortcuts:
         for I, J in same_ring_pairs(rng, 100, draw):
             assert_handed_over(ideal_intersect(I, J), lcm_basis_by_entries(I, J))
 
+    @pytest.mark.parametrize("which, formed", [("prime", 12), ("ideal", 31)])
+    def test_power_forms_each_product_once(self, which, formed, monkeypatch):
+        # at n = 4 the nested product forms 2*2 + 3*2 + 4*2 = 18 products for
+        # the 2-generator prime, 3*3 + 6*3 + 10*3 = 57 for the 3-generator I;
+        # one per multiset of generators is 3 + 4 + 5 and 6 + 10 + 15
+        case = builtin_case_A6()
+        I = case.primes[-1] if which == "prime" else case.ideal
+        calls, mul = [], Polynomial.__mul__
+
+        def counted(f, g):
+            calls.append(1)
+            return mul(f, g)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        power = ideal_power(I, 4)
+        monkeypatch.undo()
+        assert len(calls) == formed
+        assert power.generators == product_by_list_scan(ideal_power(I, 3), I)
+
+
+def library_built(R3):
+    """(label, polynomial) for each way the library builds a polynomial itself."""
+    rng = seeded(418)
+    f, g = random_polynomial(rng, R3), random_polynomial(rng, R3)
+    f, g = f or poly(R3, "x - 2*y"), g or poly(R3, "z^2 + 1")
+    I = pideal(R3, "x^2 - y", "x*y - z", "2*y^2*z")
+    built = [("sum", f + g), ("sum with an int", f + 3), ("difference", f - g),
+             ("difference from an int", 1 - f), ("product", f * g),
+             ("product by a Fraction", f * Fraction(-2, 3)), ("negation", -f),
+             ("power", f ** 3), ("quotient", divide_exact(f * g, g))]
+    built += [("monic", b) for b in buchberger(I.generators)]
+    for label, K in (("intersection", ideal_intersect(I, pideal(R3, "x - z"))),
+                     ("monomial intersection", ideal_intersect(pideal(R3, "x^2", "y"), pideal(R3, "x*z"))),
+                     ("colon", ideal_quotient(I, poly(R3, "x")))):
+        built += [(label, h) for h in K.generators]
+        built += [(label + " basis", h) for h in K.groebner_basis()]
+    return built
+
+
+class TestBuiltPolynomials:
+    """Polynomials the library builds skip the public constructor's checks;
+    each must be what those checks would have let through."""
+
+    def test_library_built_polynomials_pass_the_public_checks(self, R3):
+        for label, p in library_built(R3):
+            assert Polynomial(p.ring, dict(p.coeffs)) == p, label
+            assert all(type(c) is Fraction and c for c in p.coeffs.values()), label
+
+    def test_packed_elimination_builds_only_its_generators(self, monkeypatch):
+        # the elimination forms w*g and (1-w)*g on packed terms: no extended
+        # ring and no polynomial is built but the generators it hands over
+        case = builtin_case_A6()
+        I, P = case.ideal, ideal_power(case.primes[-1], 2)
+        built = {"Polynomial": 0, "Ring": 0}
+        init, trusted, ring_init = Polynomial.__init__, Polynomial._trusted.__func__, Ring.__init__
+
+        def counted_init(self, *args):
+            built["Polynomial"] += 1
+            init(self, *args)
+
+        def counted_trusted(cls, *args):
+            built["Polynomial"] += 1
+            return trusted(cls, *args)
+
+        def counted_ring(self, *args):
+            built["Ring"] += 1
+            ring_init(self, *args)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        monkeypatch.setattr(Polynomial, "_trusted", classmethod(counted_trusted))
+        monkeypatch.setattr(Ring, "__init__", counted_ring)
+        K = ideal_intersect(I, P)
+        assert built == {"Polynomial": len(K.generators), "Ring": 0}
+        assert K.generators
+
 
 class TestPairLoopLeads:
     """_reduced_entries selects the minimal entries by lead, which is exact
@@ -1079,7 +1169,7 @@ class TestPairLoopLeads:
             I = random_poly_ideal(rng)
             for order in (DEGREVLEX, BlockElimination(1)):
                 L = gb._Layout(order, I.ring.nvars, gb._WIDTH)
-                entries = gb._groebner_entries(I.generators, L)
+                entries = gb._groebner_entries([gb._packed(g, L) for g in I.generators], L)
                 assert len({d[0] for d in entries}) == len(entries)
 
     def test_divided_leads_are_distinct_random(self):
