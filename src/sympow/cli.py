@@ -251,8 +251,6 @@ def _claims_lemma41():
 
 def _claims_lemma42(progress):
     case = cx.builtin_case_A6()
-    yield ("every generator of M^2 + (f) lies in every squared prime",
-           cx.verify_symbolic_square_containment(case, case.witness), "")
     square = cx.symbolic_power_from_primes(case.primes, 2, progress)
     yield ("intersection of the 12 squared primes equals M^2 + (f)",
            ideal_equals(square, cx.symbolic_square_generators(case, case.witness)), "")

@@ -170,16 +170,6 @@ def symbolic_square_generators(case: CounterexampleCase, f: Polynomial) -> PolyI
     return ideal_sum(case.square(), PolyIdeal(case.ring, (f,)))
 
 
-def verify_symbolic_square_containment(case: CounterexampleCase, f: Polynomial) -> bool:
-    """Cheap half: every generator of I^2 + (f) lies in every squared prime."""
-    target = symbolic_square_generators(case, f)
-    for p in case.primes:
-        sq = ideal_power(p, 2)
-        if not all(sq.member(g) for g in target.generators):
-            return False
-    return True
-
-
 def degree_violation_report(case: CounterexampleCase, f: Polynomial) -> BoundReport:
     """Feed d(I^2 + (f)) to the D*n bound at n = 2; the report flags violation."""
     target = symbolic_square_generators(case, f)

@@ -10,12 +10,14 @@ Grammar (one construct per line, ``#`` starts a comment)::
     term   := integer | [integer] ['*'] factor ('*' factor)*
     factor := var ['^' positive-integer] | '(' poly ')'
 
-Variable and ideal names are ASCII identifiers, so the reserved
-elimination variable ``@w`` can never appear in user input. Parsing is
-linear in the input. An integer literal too long for ``int()`` is a
-located ParseError. Printing is the inverse of parsing on canonical
-output: generators are emitted content-normalized with terms descending
-under degrevlex.
+A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; other whitespace (``\\f``, ``\\v``)
+separates tokens. One scanner regex turns a line into ``(kind, value,
+col)`` tuples, and one recursive-descent reader parses directives and
+polynomials from them, in time linear in the input. Names are ASCII
+identifiers, so the reserved elimination variable ``@w`` never appears
+in user input. An integer literal too long for ``int()`` is a located
+ParseError. Printing inverts parsing on canonical output: generators
+content-normalized, terms descending under degrevlex.
 """
 
 from __future__ import annotations
@@ -27,17 +29,16 @@ from .groebner import PolyIdeal, Polynomial
 from .ideals import MonomialIdeal
 from .rings import Ring, _exp_mul
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
-_PUNCT = "^*+-(),:&"
+# one token after whitespace; END is the end of the line or its comment
+_SCAN = re.compile(r"""\s*(?:
+    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*) | (?P<INT>[0-9]+) | (?P<PUNCT>[-^*+(),:&])
+  | (?P<END>\#.*|\Z) | (?P<BAD>.))""", re.VERBOSE | re.DOTALL)
 _MAX_NESTING = 100  # deeper parentheses are refused before recursion runs out
 
 
 class ParseError(Exception):
-    """Syntax or semantic error with a 1-based line/column location.
-
-    Lookup failures (no location) use line 0.
-    """
+    """Syntax or semantic error at a 1-based line/column; a lookup failure
+    (no location) has line 0."""
 
     def __init__(self, message: str, line: int, col: int):
         where = f"line {line}, col {col}: " if line else ""
@@ -47,104 +48,86 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, INT, one of _PUNCT, END
-    value: str
-    line: int
-    col: int
+class _Reader:
+    """Recursive-descent reader over the tokens of one line. A token is a
+    ``(kind, value, col)`` tuple whose kind is IDENT, INT, END or the
+    punctuation character itself; polynomials are read over ``ring``."""
 
-
-def _tokenize(text: str, lineno: int):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            break
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), lineno, i + 1))
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(_Token("INT", m.group(), lineno, i + 1))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, lineno, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
-    tokens.append(_Token("END", "", lineno, n + 1))
-    return tokens
-
-
-class _PolyReader:
-    """Recursive-descent reader for the poly grammar over a fixed ring."""
-
-    def __init__(self, ring: Ring, tokens, pos=0):
+    def __init__(self, text: str, lineno: int, ring: Ring | None):
         self.ring = ring
-        self.tokens = tokens
-        self.pos = pos
+        self.lineno = lineno
+        self.pos = 0
         self.depth = 0
+        self.tokens = []
+        for m in _SCAN.finditer(text):
+            kind = m.lastgroup
+            if kind == "END":
+                break
+            value = m[kind]
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {value!r}", lineno, m.start(kind) + 1)
+            self.tokens.append((value if kind == "PUNCT" else kind, value, m.start(kind) + 1))
+        self.tokens.append(("END", "", len(text) + 1))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]  # the next token's kind
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self) -> tuple:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def expect(self, kind: str, message: str) -> tuple:
+        if self.peek() != kind:
+            self.fail(message)
+        return self.take()
 
-    def integer(self, tok: _Token) -> int:
+    def fail(self, message: str, tok: tuple | None = None):
+        raise ParseError(message, self.lineno, (tok or self.tokens[self.pos])[2])
+
+    def sequence(self, item, separator: str, message: str) -> list:
+        """item (separator item)* up to the end of the line."""
+        items = [item()]
+        while self.peek() != "END":
+            self.expect(separator, message)
+            items.append(item())
+        return items
+
+    def integer(self, tok: tuple) -> int:
         try:
-            return int(tok.value)
+            return int(tok[1])
         except ValueError:  # longer than sys.get_int_max_str_digits() allows
-            self.fail(f"integer literal of {len(tok.value)} digits is too long", tok)
+            self.fail(f"integer literal of {len(tok[1])} digits is too long", tok)
 
     def poly(self) -> Polynomial:
         """Every term is added into one dict, so one Polynomial is built and
         validated per parsed polynomial, and a sum is linear in its terms."""
         acc = {}
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.take().kind == "-" else 1
-        self.term(acc, sign)
-        while self.peek().kind in "+-":
-            sign = -1 if self.take().kind == "-" else 1
-            self.term(acc, sign)
-        return Polynomial(self.ring, acc)
+        sign = self.take()[0] if self.peek() in "+-" else "+"
+        while True:
+            self.term(acc, -1 if sign == "-" else 1)
+            if self.peek() not in "+-":
+                return Polynomial(self.ring, acc)
+            sign = self.take()[0]
 
     def term(self, acc: dict, coeff: int):
         """Add coeff times the next term into acc. A variable factor adds to the
         term's exponent list; only a parenthesized factor is a Polynomial."""
         exps = [0] * self.ring.nvars
         product = None  # of the parenthesized factors
-        if self.peek().kind == "INT":
+        if self.peek() == "INT":
             coeff *= self.integer(self.take())
-            if self.peek().kind == "*":
+            if self.peek() == "*":
                 self.take()
-            elif self.peek().kind not in ("IDENT", "("):
-                # bare integer constant
+            elif self.peek() not in ("IDENT", "("):  # a bare integer constant
                 _add_term(acc, tuple(exps), coeff)
                 return
-        if self.peek().kind not in ("IDENT", "("):
+        if self.peek() not in ("IDENT", "("):
             self.fail("expected a variable, '(' or an integer")
         while True:
             inner = self.factor(exps)
             if inner is not None:
                 product = inner if product is None else product * inner
-            if self.peek().kind != "*":
+            if self.peek() != "*":
                 break
             self.take()
         shift = tuple(exps)
@@ -156,36 +139,42 @@ class _PolyReader:
 
     def factor(self, exps: list):
         """Add a variable factor to exps; return a parenthesized one."""
-        tok = self.peek()
-        if tok.kind == "(":
+        kind = self.peek()
+        if kind == "(":
             if self.depth == _MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
             self.take()
             self.depth += 1
             inner = self.poly()
             self.depth -= 1
-            if self.peek().kind != ")":
-                self.fail("expected ')'")
-            self.take()
+            self.expect(")", "expected ')'")
             return inner
-        if tok.kind == "IDENT":
-            self.take()
-            index = self.ring._index.get(tok.value)
+        if kind == "IDENT":
+            tok = self.take()
+            index = self.ring._index.get(tok[1])
             if index is None:
-                self.fail(f"unknown variable {tok.value!r}", tok)
+                self.fail(f"unknown variable {tok[1]!r}", tok)
             exp = 1
-            if self.peek().kind == "^":
+            if self.peek() == "^":
                 self.take()
-                etok = self.peek()
-                if etok.kind != "INT":
-                    self.fail("malformed exponent: expected a positive integer", etok)
-                self.take()
+                etok = self.expect("INT", "malformed exponent: expected a positive integer")
                 exp = self.integer(etok)
                 if exp < 1:
                     self.fail("malformed exponent: must be a positive integer", etok)
             exps[index] += exp
             return None
         self.fail("expected a variable or '('")
+
+    def ring_names(self) -> list:
+        names = []
+        while self.peek() != "END":
+            tok = self.expect("IDENT", "variable names must be identifiers")
+            if tok[1] in names:
+                self.fail(f"duplicate variable name {tok[1]!r}", tok)
+            names.append(tok[1])
+        if not names:
+            self.fail("a ring needs at least one variable")
+        return names
 
 
 def _add_term(acc: dict, e: tuple, c):
@@ -200,10 +189,9 @@ def _add_term(acc: dict, e: tuple, c):
 
 def parse_polynomial(ring: Ring, text: str, lineno: int = 1) -> Polynomial:
     """Parse a single polynomial; the whole text must be consumed."""
-    reader = _PolyReader(ring, _tokenize(text, lineno))
+    reader = _Reader(text, lineno, ring)
     p = reader.poly()
-    if reader.peek().kind != "END":
-        reader.fail("unexpected trailing input")
+    reader.expect("END", "unexpected trailing input")
     return p
 
 
@@ -227,95 +215,46 @@ class IdealFile:
 
 
 def parse_ideal_file(text: str) -> IdealFile:
-    ring = None
-    ideals = {}
-    decompositions = {}
-    pending_decomps = []
-    names_seen = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        head = tokens[0]
-        if head.kind == "END":
+    lines = re.split(r"\r\n?|\n", text)
+    parsed = IdealFile(None)
+    refs = []  # (line, name, col) of each decomposition entry, checked at the end
+    for lineno, line in enumerate(lines, start=1):
+        reader = _Reader(line, lineno, parsed.ring)
+        if reader.peek() == "END":
             continue
-        if head.kind != "IDENT":
-            raise ParseError("expected 'ring', 'ideal' or 'decomposition'", lineno, head.col)
-
-        if head.value == "ring":
-            if len(tokens) < 2 or tokens[1].kind != ":":
-                raise ParseError("expected ':' after 'ring'", lineno, tokens[1].col)
-            if ring is not None:
-                raise ParseError("duplicate ring declaration", lineno, head.col)
-            names = []
-            for tok in tokens[2:-1]:
-                if tok.kind != "IDENT":
-                    raise ParseError("variable names must be identifiers", lineno, tok.col)
-                if tok.value in names:
-                    raise ParseError(f"duplicate variable name {tok.value!r}", lineno, tok.col)
-                names.append(tok.value)
-            if not names:
-                raise ParseError("a ring needs at least one variable", lineno, tokens[-1].col)
-            ring = Ring(names)
-            continue
-
-        if head.value in ("ideal", "decomposition"):
-            if len(tokens) < 3 or tokens[1].kind != "IDENT":
-                raise ParseError(f"expected a name after '{head.value}'", lineno,
-                                 tokens[1].col if len(tokens) > 1 else head.col)
-            name_tok = tokens[1]
-            if tokens[2].kind != ":":
-                raise ParseError("expected ':' after the name", lineno, tokens[2].col)
-            if name_tok.value in names_seen:
-                raise ParseError(f"duplicate name {name_tok.value!r}", lineno, name_tok.col)
-            names_seen[name_tok.value] = lineno
-
-            if head.value == "ideal":
-                if ring is None:
-                    raise ParseError("the ring must be declared before any ideal", lineno, head.col)
-                gens = []
-                reader = _PolyReader(ring, tokens, pos=3)
-                if reader.peek().kind != "END":
-                    while True:
-                        gens.append(reader.poly())
-                        nxt = reader.peek()
-                        if nxt.kind == ",":
-                            reader.take()
-                            continue
-                        if nxt.kind == "END":
-                            break
-                        reader.fail("expected ',' or end of line")
-                ideals[name_tok.value] = PolyIdeal(ring, gens)
+        head = reader.expect("IDENT", "expected 'ring', 'ideal' or 'decomposition'")
+        directive = head[1]
+        if directive == "ring":
+            reader.expect(":", "expected ':' after 'ring'")
+            if parsed.ring is not None:
+                reader.fail("duplicate ring declaration", head)
+            parsed.ring = Ring(reader.ring_names())
+        elif directive in ("ideal", "decomposition"):
+            _, name, col = reader.expect("IDENT", f"expected a name after '{directive}'")
+            reader.expect(":", "expected ':' after the name")
+            if name in parsed.ideals or name in parsed.decompositions:
+                raise ParseError(f"duplicate name {name!r}", lineno, col)
+            if directive == "ideal":
+                if parsed.ring is None:
+                    reader.fail("the ring must be declared before any ideal", head)
+                gens = (reader.sequence(reader.poly, ",", "expected ',' or end of line")
+                        if reader.peek() != "END" else ())
+                parsed.ideals[name] = PolyIdeal(parsed.ring, gens)
             else:
-                refs = []
-                pos = 3
-                while True:
-                    tok = tokens[pos]
-                    if tok.kind != "IDENT":
-                        raise ParseError("expected an ideal name", lineno, tok.col)
-                    refs.append(tok)
-                    pos += 1
-                    if tokens[pos].kind == "&":
-                        pos += 1
-                        continue
-                    if tokens[pos].kind == "END":
-                        break
-                    raise ParseError("expected '&' or end of line", lineno, tokens[pos].col)
-                pending_decomps.append((name_tok.value, refs))
-            continue
+                entries = reader.sequence(lambda: reader.expect("IDENT", "expected an ideal name"),
+                                          "&", "expected '&' or end of line")
+                parsed.decompositions[name] = tuple(value for _, value, _ in entries)
+                refs += [(lineno, value, col) for _, value, col in entries]
+        else:
+            reader.fail(f"unknown directive {directive!r}", head)
 
-        raise ParseError(f"unknown directive {head.value!r}", lineno, head.col)
-
-    if ring is None:
-        raise ParseError("missing ring declaration", len(text.splitlines()) + 1, 1)
-
-    for name, refs in pending_decomps:
-        for tok in refs:
-            if tok.value not in ideals:
-                raise ParseError(f"decomposition refers to unknown ideal {tok.value!r}",
-                                 tok.line, tok.col)
-        decompositions[name] = tuple(tok.value for tok in refs)
-
-    return IdealFile(ring, ideals, decompositions)
+    if parsed.ring is None:
+        # on the line after the last: a final line end opens no new line
+        raise ParseError("missing ring declaration", len(lines) + bool(lines[-1]), 1)
+    for lineno, name, col in refs:
+        if name not in parsed.ideals:
+            raise ParseError(f"decomposition refers to unknown ideal {name!r}", lineno, col)
+    return parsed
 
 
 # ---------------------------------------------------------------------------

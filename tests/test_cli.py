@@ -407,7 +407,7 @@ class TestVerifyPaper:
         # kernel change that alters any computed ideal or its printing fails
         text = json.dumps(self.report_without_timings(capsys), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8fcf9175df8acf9bd61baa2c5328072864c306c6867bdc40c0736392eb580b68"
+            "37de1b515e322014b8a9ef4ba9970a923e2032d77f5b06172b8443393f98eb49"
         )
 
     def test_ex32_decomposition_claim_is_independent(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Ideal-file grammar: parsing, located errors, round-trip printing."""
 
+import re
 import sys
 
 import pytest
@@ -154,6 +155,43 @@ class TestErrors:
             parse_ideal_file("ring: x\nideal I: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
 
 
+# characters that str.splitlines() breaks at, but an ideal-file line does not
+INLINE_SPACES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("space", INLINE_SPACES, ids=repr)
+    def test_other_whitespace_stays_inside_the_line(self, space):
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(f"ring: x{space}y\nideal J: q\n")
+        assert info.value.message == "unknown variable 'q'"
+        assert location(info.value) == (2, 10)
+        parsed = parse_ideal_file(f"ring: x{space}y\nideal J: x*{space}y\n")
+        assert parsed.ring.variables == ("x", "y")
+        assert len(parsed.ideal("J").generators) == 1
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=repr)
+    def test_each_line_end_ends_one_line(self, end):
+        text = end.join(["ring: x", "", "# note", "ideal I: y"]) + end
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(text)
+        assert location(info.value) == (4, 10)
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1), ("# a", 2), ("# a\n", 2), ("# a\r\n\r", 3), ("# a\f# b\n\n", 3), ("# a\u2028\n", 2)])
+    def test_missing_ring_is_on_the_line_after_the_last(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_ideal_file(text)
+        assert info.value.message == "missing ring declaration"
+        assert location(info.value) == (line, 1)
+
+    def test_cli_reads_a_ring_across_a_vertical_tab(self, tmp_path, capsys):
+        path = tmp_path / "vt.ideal"
+        path.write_text("ring: x\v y\nideal J: q\n", encoding="utf-8")
+        assert main(["sympow", "--file", str(path), "--ideal", "J", "--n", "1"]) == EXIT_PARSE
+        assert "line 2, col 10: unknown variable 'q'" in capsys.readouterr().err
+
+
 # Python 3.10 (and a limit of 0) converts integer strings of any length
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(
@@ -299,3 +337,57 @@ class TestRoundTrip:
                 back = parse_ideal_file(text).ideal("I")
                 assert back.generators == gens
             done += 1
+
+
+class TestLocatedErrors:
+    def test_every_file_round_trips_or_fails_inside_a_line(self):
+        """Files drawn from the grammar's tokens and stray characters either
+        parse and print back to the same file, or raise a ParseError on a line
+        the file has, at a column of that line or just past its end."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from sympow.ideal_files import _MAX_NESTING
+
+        long_literal = "9" * ((INT_DIGIT_LIMIT or 4300) + 1)
+        soup = st.lists(st.sampled_from([
+            "x", "y", "z", "I", "J", "D", "ring", "ideal", "decomposition", "0", "2", "17",
+            ":", ",", "&", "^", "*", "+", "-", "(", ")", " ", "#",
+            "@", "\u00e9", "\t", "\f", "((", ")))", "(" * (_MAX_NESTING + 1), "(" * 5000, long_literal,
+        ]), max_size=10).map("".join)
+        polys = st.lists(st.sampled_from(["x", "y^2", "2*z", "(x - y)", "-x", "3", "x*(y + 1)^1",
+                                          f"{long_literal}*x", f"x^{long_literal}"]),
+                         min_size=1, max_size=4).map(" + ".join)
+        names = st.sampled_from(["I", "J", "D", "x"])
+        lines = st.one_of(
+            soup,
+            st.just("ring: x y z"),
+            st.builds("ideal {}: {}".format, names, st.lists(polys, max_size=3).map(", ".join)),
+            st.builds("ideal {}: {}".format, names, soup),
+            st.builds("decomposition {}: {}".format, names, st.lists(names, max_size=3).map(" & ".join)),
+        )
+        files = st.lists(st.tuples(lines, st.sampled_from(["\n", "\r\n", "\r", " # note\n", ""])),
+                         max_size=6).map(lambda parts: "".join(line + end for line, end in parts))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.tuples(st.booleans(), files))
+        @hypothesis.example((True, f"ideal I: 2*{long_literal}*x\n"))
+        @hypothesis.example((True, "ideal I: " + "(" * 5000 + "x\n"))
+        @hypothesis.example((True, "ideal I: x\f*\ty @\n"))
+        @hypothesis.example((False, "ring: x\u00e9\r\n"))
+        def check(case):
+            text = ("ring: x y z\n" if case[0] else "") + case[1]
+            try:
+                parsed = parse_ideal_file(text)
+            except ParseError as err:
+                lines = re.split(r"\r\n|\r|\n", text) + [""]  # and the line after the last
+                assert 1 <= err.line <= len(lines)
+                assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+                return
+            again = parse_ideal_file(format_ideal_file(parsed))
+            assert again.ring == parsed.ring
+            assert again.decompositions == parsed.decompositions
+            assert {name: I.generators for name, I in again.ideals.items()} == {
+                name: tuple(g.content_normalized() for g in I.generators)
+                for name, I in parsed.ideals.items()}
+
+        check()
