@@ -9,8 +9,9 @@ The seven-variable case ships two witness candidates: the recorded one,
 xyzabcd*(ac - bd), and the alternate xyzabcd*(ab - cd) that matches the
 binomial inside the ideal itself. ``colon_ideal`` takes either.
 
-A case is a frozen value, built afresh on every call, and every helper
-computes its ideal on every call: nothing outlives the call that made it.
+Each case is an ideal-file text read afresh on every call (``I``, the
+witnesses ``F`` and ``G``, the colon ``C``, the primes ``P``), and every
+helper computes its ideal on every call: nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .groebner import (
     ideal_quotient,
     ideal_sum,
 )
+from .ideal_files import parse_ideal_file
 from .rings import Ring
 
 
@@ -47,78 +49,68 @@ class CounterexampleCase:
         return ideal_power(self.ideal, 2)
 
 
+A6 = """\
+ring: x y z t a b
+ideal I: x*(x-y)*y*a, (x-y)*z*t*b, y*z*(x*a-t*b)
+ideal F: x*y*(x-y)*z*t*a*b*(y*a-t*b)
+ideal C: x, y, z
+ideal P0: b, a
+ideal P1: b, x
+ideal P2: y, x
+ideal P3: z, x
+ideal P4: t, x
+ideal P5: b, y
+ideal P6: z, y
+ideal P7: t, y
+ideal P8: a, t
+ideal P9: a, z
+ideal P10: z, x-y
+ideal P11: x-y, y*a-t*b
+decomposition P: P0 & P1 & P2 & P3 & P4 & P5 & P6 & P7 & P8 & P9 & P10 & P11
+"""
+
+# The primes are derived, not recorded with the case: a prime over I picks one
+# irreducible factor from each generator, and pruning that family to its minimal
+# members leaves eleven variable-pair primes plus (x, ab-cd). The ``verify-paper``
+# claims check that the list intersects to I.
+A7 = """\
+ring: x y z a b c d
+ideal I: x*y*a*b, x*z*c*d, y*z*(a*b-c*d)
+ideal F: x*y*z*a*b*c*d*(a*c-b*d)
+ideal G: x*y*z*a*b*c*d*(a*b-c*d)
+ideal C: x, y, z
+ideal P0: x, y
+ideal P1: x, z
+ideal P2: y, z
+ideal P3: y, c
+ideal P4: y, d
+ideal P5: a, z
+ideal P6: b, z
+ideal P7: a, c
+ideal P8: a, d
+ideal P9: b, c
+ideal P10: b, d
+ideal P11: x, a*b-c*d
+decomposition P: P0 & P1 & P2 & P3 & P4 & P5 & P6 & P7 & P8 & P9 & P10 & P11
+"""
+
+
+def _case(name: str, text: str, **recorded) -> CounterexampleCase:
+    parsed = parse_ideal_file(text)
+    witness_alt = parsed.ideal("G").generators[0] if "G" in parsed.ideals else None
+    return CounterexampleCase(name, parsed.ring, parsed.ideal("I"), parsed.ideal("F").generators[0], witness_alt,
+                              tuple(parsed.decomposition_components("P")), expected_colon=parsed.ideal("C"),
+                              **recorded)
+
+
 def builtin_case_A6() -> CounterexampleCase:
     """Six variables: I = (x(x-y)ya, (x-y)ztb, yz(xa-tb)), twelve height-2 primes."""
-    R = Ring(("x", "y", "z", "t", "a", "b"))
-    x, y, z, t, a, b = (Polynomial.variable(R, v) for v in R.variables)
-    ideal = PolyIdeal(R, (
-        x * (x - y) * y * a,
-        (x - y) * z * t * b,
-        y * z * (x * a - t * b),
-    ))
-    witness = x * y * (x - y) * z * t * a * b * (y * a - t * b)
-    primes = tuple(
-        PolyIdeal(R, gens)
-        for gens in (
-            (b, a), (b, x), (y, x), (z, x), (t, x), (b, y),
-            (z, y), (t, y), (a, t), (a, z),
-            (z, x - y), (x - y, y * a - t * b),
-        )
-    )
-    return CounterexampleCase(
-        name="A6",
-        ring=R,
-        ideal=ideal,
-        witness=witness,
-        witness_alt=None,
-        primes=primes,
-        primes_source="recorded",
-        expected_colon=PolyIdeal(R, (x, y, z)),
-        expected_witness_degree=9,
-        generator_degree=4,
-    )
+    return _case("A6", A6, primes_source="recorded", expected_witness_degree=9, generator_degree=4)
 
 
 def builtin_case_A7() -> CounterexampleCase:
-    """Seven variables: I = (xyab, xzcd, yz(ab-cd)) with two witness candidates.
-
-    The prime list is derived here, not recorded with the case: a prime
-    over I picks one irreducible factor from each generator, and pruning
-    the resulting family to its minimal members leaves eleven
-    variable-pair primes plus (x, ab-cd).
-    The ``verify-paper`` claims check that the list intersects to I.
-    """
-    R = Ring(("x", "y", "z", "a", "b", "c", "d"))
-    x, y, z, a, b, c, d = (Polynomial.variable(R, v) for v in R.variables)
-    q = a * b - c * d
-    ideal = PolyIdeal(R, (
-        x * y * a * b,
-        x * z * c * d,
-        y * z * q,
-    ))
-    witness = x * y * z * a * b * c * d * (a * c - b * d)
-    witness_alt = x * y * z * a * b * c * d * q
-    primes = tuple(
-        PolyIdeal(R, gens)
-        for gens in (
-            (x, y), (x, z), (y, z),
-            (y, c), (y, d), (a, z), (b, z),
-            (a, c), (a, d), (b, c), (b, d),
-            (x, q),
-        )
-    )
-    return CounterexampleCase(
-        name="A7",
-        ring=R,
-        ideal=ideal,
-        witness=witness,
-        witness_alt=witness_alt,
-        primes=primes,
-        primes_source="derived",
-        expected_colon=PolyIdeal(R, (x, y, z)),
-        expected_witness_degree=9,
-        generator_degree=4,
-    )
+    """Seven variables: I = (xyab, xzcd, yz(ab-cd)) with two witness candidates."""
+    return _case("A7", A7, primes_source="derived", expected_witness_degree=9, generator_degree=4)
 
 
 def colon_ideal(case: CounterexampleCase, f: Polynomial) -> PolyIdeal:

@@ -373,8 +373,8 @@ def _packed_minimal(us, L):
     return [v ^ L.unit for v in _packed_scan([u ^ L.unit for u in sorted(us)], L.guard)]
 
 
-def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Quotient f / d when d divides f exactly; anything else is a bug here."""
+def divide_exact(f: Polynomial, d: Polynomial) -> Polynomial:
+    """Quotient f / d when d divides f exactly (the same in every term order); anything else is a bug here."""
     if d.is_zero():
         raise ValueError("division by the zero polynomial")
 
@@ -390,7 +390,7 @@ def divide_exact(f: Polynomial, d: Polynomial, order: MonomialOrder = DEGREVLEX)
             _subtract(p, factor, e - de, dterms, L.guard)
         return Polynomial._trusted(f.ring, L.unpack_terms(q))
 
-    return _widen(run, _Layout(order, f.ring.nvars, _WIDTH))
+    return _widen(run, _Layout(DEGREVLEX, f.ring.nvars, _WIDTH))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +437,14 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     ring = gens[0].ring
     for g in gens:
         check_same_ring(gens[0], g)
-    return _widen(lambda L: tuple(_monic(ring, L, e) for e in _reduced_entries(_groebner_entries(
-        [_packed(g, L) for g in gens], L), L)), _Layout(order, ring.nvars, _WIDTH))
+    L, entries = _basis(gens, order, ring.nvars)
+    return tuple(_monic(ring, L, e) for e in entries)
+
+
+def _basis(generators, order, nvars):
+    """(layout, reduced entries largest lead first) of the ideal the nonzero Polynomials span."""
+    return _widen(lambda L: (L, _reduced_entries(_groebner_entries([_packed(g, L) for g in generators], L), L)),
+                  _Layout(order, nvars, _WIDTH))
 
 
 def _groebner_entries(gens, L):
@@ -528,8 +534,7 @@ class PolyIdeal:
 
     def _entries(self):
         if self._basis is None:
-            self._basis = _widen(lambda L: (L, _reduced_entries(_groebner_entries(
-                [_packed(g, L) for g in self.generators], L), L)), _Layout(DEGREVLEX, self.ring.nvars, _WIDTH))
+            self._basis = _basis(self.generators, DEGREVLEX, self.ring.nvars)
         return self._basis
 
     def groebner_basis(self):

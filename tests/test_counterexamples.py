@@ -8,6 +8,7 @@ from conftest import poly
 import sympow.groebner as gb
 from sympow import PolyIdeal, Polynomial, Ring, ideal_equals, ideal_intersect, ideal_power
 from sympow.counterexamples import (
+    CounterexampleCase,
     builtin_case_A6,
     builtin_case_A7,
     colon_ideal,
@@ -16,6 +17,96 @@ from sympow.counterexamples import (
     symbolic_power_from_primes,
     symbolic_square_generators,
 )
+
+
+def _built_A6():
+    """A6 built by polynomial arithmetic: the oracle for the recorded text."""
+    R = Ring(("x", "y", "z", "t", "a", "b"))
+    x, y, z, t, a, b = (Polynomial.variable(R, v) for v in R.variables)
+    ideal = PolyIdeal(R, (
+        x * (x - y) * y * a,
+        (x - y) * z * t * b,
+        y * z * (x * a - t * b),
+    ))
+    witness = x * y * (x - y) * z * t * a * b * (y * a - t * b)
+    primes = tuple(
+        PolyIdeal(R, gens)
+        for gens in (
+            (b, a), (b, x), (y, x), (z, x), (t, x), (b, y),
+            (z, y), (t, y), (a, t), (a, z),
+            (z, x - y), (x - y, y * a - t * b),
+        )
+    )
+    return CounterexampleCase(
+        name="A6",
+        ring=R,
+        ideal=ideal,
+        witness=witness,
+        witness_alt=None,
+        primes=primes,
+        primes_source="recorded",
+        expected_colon=PolyIdeal(R, (x, y, z)),
+        expected_witness_degree=9,
+        generator_degree=4,
+    )
+
+
+def _built_A7():
+    """A7 built by polynomial arithmetic: the oracle for the recorded text."""
+    R = Ring(("x", "y", "z", "a", "b", "c", "d"))
+    x, y, z, a, b, c, d = (Polynomial.variable(R, v) for v in R.variables)
+    q = a * b - c * d
+    ideal = PolyIdeal(R, (
+        x * y * a * b,
+        x * z * c * d,
+        y * z * q,
+    ))
+    witness = x * y * z * a * b * c * d * (a * c - b * d)
+    witness_alt = x * y * z * a * b * c * d * q
+    primes = tuple(
+        PolyIdeal(R, gens)
+        for gens in (
+            (x, y), (x, z), (y, z),
+            (y, c), (y, d), (a, z), (b, z),
+            (a, c), (a, d), (b, c), (b, d),
+            (x, q),
+        )
+    )
+    return CounterexampleCase(
+        name="A7",
+        ring=R,
+        ideal=ideal,
+        witness=witness,
+        witness_alt=witness_alt,
+        primes=primes,
+        primes_source="derived",
+        expected_colon=PolyIdeal(R, (x, y, z)),
+        expected_witness_degree=9,
+        generator_degree=4,
+    )
+
+
+def _terms(f):
+    """The term dict as a list: key order and coefficient types compared too."""
+    return None if f is None else [(e, type(c), c) for e, c in f.coeffs.items()]
+
+
+def _gens(I):
+    return (I.ring, [_terms(g) for g in I.generators])
+
+
+class TestRecordedTexts:
+    @pytest.mark.parametrize("read, built", [(builtin_case_A6, _built_A6), (builtin_case_A7, _built_A7)])
+    def test_text_matches_the_arithmetic_build(self, read, built):
+        got, want = read(), built()
+        assert (got.name, got.ring) == (want.name, want.ring)
+        assert _gens(got.ideal) == _gens(want.ideal)
+        assert _terms(got.witness) == _terms(want.witness)
+        assert _terms(got.witness_alt) == _terms(want.witness_alt)
+        assert _gens(got.expected_colon) == _gens(want.expected_colon)
+        assert [_gens(p) for p in got.primes] == [_gens(p) for p in want.primes]
+        assert ((got.primes_source, got.expected_witness_degree, got.generator_degree)
+                == (want.primes_source, want.expected_witness_degree, want.generator_degree))
 
 
 class TestCaseShapes:

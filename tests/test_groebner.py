@@ -393,8 +393,6 @@ class TestLayout:
         f = poly(R3, "x - y")
         with pytest.raises(TypeError, match="lists no blocks"):
             buchberger([f], KeyOnly())
-        with pytest.raises(TypeError, match="lists no blocks"):
-            divide_exact(f, f, KeyOnly())
 
 
 class TestPolynomialArithmetic:
