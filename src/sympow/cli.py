@@ -123,12 +123,8 @@ def _cmd_sympow(args) -> int:
         result = symbolic_power(ideal, args.n)
     stats = result.degree_stats()
     if args.format == "json":
-        payload = {
-            "ideal": args.ideal,
-            "n": args.n,
-            "generators": [str(g) for g in result.generators],
-            "degrees": {"max": stats.max_gen_degree, "beg": stats.beg, "count": stats.count},
-        }
+        payload = {"ideal": args.ideal, "n": args.n, "generators": [str(g) for g in result.generators],
+                   "degrees": {"max": stats.max_gen_degree, "beg": stats.beg, "count": stats.count}}
         print(json.dumps(payload, indent=2))
     else:
         print(f"ideal {args.ideal}, n = {args.n}")
@@ -148,21 +144,9 @@ def _cmd_bounds(args) -> int:
     reports = [BoundReport(kind, args.n, d_in, bound * args.n) for kind, bound in per_n.items()]
     extras = {"lcm_monomial": str(ideal.lcm_of_generators()), "lcm_degree": per_n[BOUND_LCM]}
     if args.format == "json":
-        payload = {
-            "ideal": args.ideal,
-            "n": args.n,
-            "reports": [
-                {
-                    "bound_kind": r.bound_kind,
-                    "n": r.n,
-                    "d_In": r.d_in,
-                    "bound": r.bound,
-                    "satisfied": r.satisfied,
-                }
-                for r in reports
-            ],
-        }
-        payload.update(extras)
+        payload = {"ideal": args.ideal, "n": args.n,
+                   "reports": [{"bound_kind": r.bound_kind, "n": r.n, "d_In": r.d_in, "bound": r.bound,
+                                "satisfied": r.satisfied} for r in reports], **extras}
         print(json.dumps(payload, indent=2))
     else:
         print(f"ideal {args.ideal}, n = {args.n}")
@@ -179,12 +163,8 @@ def _cmd_growth(args) -> int:
     ideal = monomial_ideal_from_poly(poly)
     seq = degree_sequence(ideal, args.N)
     if args.format == "json":
-        payload = {
-            "ideal": args.ideal,
-            "N": args.N,
-            "entries": [[n, d] for n, d in seq.entries],
-            "complete": seq.complete,
-        }
+        payload = {"ideal": args.ideal, "N": args.N, "entries": [[n, d] for n, d in seq.entries],
+                   "complete": seq.complete}
         print(json.dumps(payload, indent=2))
     else:
         print(f"ideal {args.ideal}, N = {args.N}")
@@ -311,14 +291,8 @@ def _cmd_verify_paper(args) -> int:
     def progress(message):
         print(f"[{time.monotonic() - start:7.1f}s] {message}", file=sys.stderr)
 
-    claim_sources = {
-        "ex31": _claims_ex31,
-        "ex32": _claims_ex32,
-        "lemma41": _claims_lemma41,
-        "lemma42": lambda: _claims_lemma42(progress),
-        "ex43": _claims_ex43,
-        "ex44": _claims_ex44,
-    }
+    claim_sources = {"ex31": _claims_ex31, "ex32": _claims_ex32, "lemma41": _claims_lemma41,
+                     "lemma42": lambda: _claims_lemma42(progress), "ex43": _claims_ex43, "ex44": _claims_ex44}
 
     results = []
     all_pass = True
@@ -333,10 +307,7 @@ def _cmd_verify_paper(args) -> int:
         t0 = time.monotonic()
         for claim, passed, detail in claim_sources[name]():
             seconds = round(time.monotonic() - t0, 3)
-            case_entry["claims"].append(
-                {"claim": claim, "pass": bool(passed), "seconds": seconds,
-                 "detail": detail}
-            )
+            case_entry["claims"].append({"claim": claim, "pass": bool(passed), "seconds": seconds, "detail": detail})
             all_pass = all_pass and bool(passed)
             if budget is not None and time.monotonic() - start > budget:
                 exhausted = True
@@ -375,12 +346,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "sympow": _cmd_sympow,
-        "bounds": _cmd_bounds,
-        "growth": _cmd_growth,
-        "verify-paper": _cmd_verify_paper,
-    }
+    handlers = {"sympow": _cmd_sympow, "bounds": _cmd_bounds, "growth": _cmd_growth, "verify-paper": _cmd_verify_paper}
     try:
         return handlers[args.command](args)
     except ParseError as exc:

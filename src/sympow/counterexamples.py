@@ -19,15 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import BOUND_HUNEKE, BoundReport
-from .groebner import (
-    PolyIdeal,
-    Polynomial,
-    ideal_equals,
-    ideal_intersect,
-    ideal_power,
-    ideal_quotient,
-    ideal_sum,
-)
+from .groebner import PolyIdeal, Polynomial, ideal_equals, ideal_intersect, ideal_power, ideal_quotient, ideal_sum
 from .ideal_files import parse_ideal_file
 from .rings import Ring
 
@@ -140,6 +132,9 @@ def symbolic_power_from_primes(primes, n: int, progress=None) -> PolyIdeal:
     spanned by monomials by lcms and eliminates (``_eliminate``) any other
     pair, so primes spanned by monomials must come first; then only the
     rest go through ``_eliminate``. The built-in cases list them that way.
+    Each step holds its reduced basis packed and the next reads it as it is:
+    no polynomial is built until the result's generators are read, and a
+    ``progress`` line counts the basis entries.
     """
     primes = list(primes)
     if not primes:
@@ -152,7 +147,7 @@ def symbolic_power_from_primes(primes, n: int, progress=None) -> PolyIdeal:
         if progress:
             progress(
                 f"intersected {i}/{len(primes)} ideals "
-                f"({len(inter.generators)} generators so far)"
+                f"({len(inter._entries()[1])} generators so far)"
             )
     return inter
 

@@ -6,7 +6,9 @@ operations built on them: membership, sum, product, power, intersection (by
 lcms for monomial ideals, by elimination otherwise), colon by a polynomial,
 equality, under the block monomial orders of `rings`. The kernel runs on
 packed monomials (`rings._Layout`) and integer coefficients; public
-polynomials keep exponent tuples and Fraction coefficients.
+polynomials keep exponent tuples and Fraction coefficients. An ideal the
+library makes stays packed between kernel runs, and builds its generators as
+polynomials only when they are read.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rings import (DEGREVLEX, BlockElimination, Monomial, MonomialOrder, Ring, _exp_mul, _intersection,
-                    _Layout, _Overflow, _packed_scan, check_same_ring)
+from .rings import (DEGREVLEX, BlockElimination, Monomial, MonomialOrder, Ring, _exp_mul, _Layout, _Overflow,
+                    _packed_scan, check_same_ring)
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
 _WIDTH = 16  # bits per packed field, guard bit included, as a kernel run starts
@@ -437,14 +439,14 @@ def buchberger(generators, order: MonomialOrder = DEGREVLEX):
     ring = gens[0].ring
     for g in gens:
         check_same_ring(gens[0], g)
-    L, entries = _basis(gens, order, ring.nvars)
+    L, entries = _basis(lambda L: [_packed(g, L) for g in gens], order, ring.nvars)
     return tuple(_monic(ring, L, e) for e in entries)
 
 
-def _basis(generators, order, nvars):
-    """(layout, reduced entries largest lead first) of the ideal the nonzero Polynomials span."""
-    return _widen(lambda L: (L, _reduced_entries(_groebner_entries([_packed(g, L) for g in generators], L), L)),
-                  _Layout(order, nvars, _WIDTH))
+def _basis(terms_at, order, nvars):
+    """(layout, reduced entries largest lead first) of the ideal spanned by
+    terms_at(L), nonzero integer term dicts packed by the layout L."""
+    return _widen(lambda L: (L, _reduced_entries(_groebner_entries(terms_at(L), L), L)), _Layout(order, nvars, _WIDTH))
 
 
 def _groebner_entries(gens, L):
@@ -511,30 +513,46 @@ def _groebner_entries(gens, L):
 
 
 class PolyIdeal:
-    """Generator list plus its reduced degrevlex Groebner basis, held as
-    (layout, divisor entries largest lead first). The operation that made
-    the ideal sets it, or Buchberger does on first use."""
+    """Generators plus their reduced degrevlex Groebner basis, held as
+    (layout, divisor entries largest lead first): the operation that made the
+    ideal sets it, or Buchberger does on first use. An ideal the library
+    makes holds its generators packed, as (layout, term dicts, signed), and
+    builds their `Polynomial`s on first read: an intersection's are its basis
+    entries, the lex-leading term made positive (signed); a power's are its
+    products, exact."""
 
-    __slots__ = ("ring", "generators", "_basis")
+    __slots__ = ("ring", "_gens", "_held", "_basis")
 
     def __init__(self, ring: Ring, generators=()):
         self.ring = ring
         gens = _check_polynomials(generators)
         for g in gens:
             check_same_ring(self, g)
-        self.generators = tuple(g for g in gens if not g.is_zero())
-        self._basis = None
+        self._gens = tuple(g for g in gens if not g.is_zero())
+        self._held = self._basis = None
 
     @classmethod
     def zero(cls, ring: Ring) -> PolyIdeal:
         return cls(ring)
 
+    @property
+    def generators(self) -> tuple:
+        """The generators as `Polynomial`s; held ones are built on the first read."""
+        if self._gens is None:
+            L, terms, signed = self._held
+            gens = []
+            for t in map(L.unpack_terms, terms):
+                s = -1 if signed and t[max(t)] < 0 else 1
+                gens.append(Polynomial._trusted(self.ring, {e: Fraction(s * c) for e, c in t.items()}))
+            self._gens = tuple(gens)
+        return self._gens
+
     def is_zero(self) -> bool:
-        return not self.generators
+        return not (self._held[1] if self._held else self._gens)
 
     def _entries(self):
         if self._basis is None:
-            self._basis = _basis(self.generators, DEGREVLEX, self.ring.nvars)
+            self._basis = _basis(lambda L: _generator_terms(self, L), DEGREVLEX, self.ring.nvars)
         return self._basis
 
     def groebner_basis(self):
@@ -556,7 +574,7 @@ class PolyIdeal:
         return _widen(run, basis)
 
     def __str__(self):
-        if not self.generators:
+        if self.is_zero():
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -564,17 +582,30 @@ class PolyIdeal:
         return f"PolyIdeal{self}"
 
 
+def _holding(ring, L, terms, basis=None):
+    """The ideal whose generators are the nonzero term dicts packed by the
+    degrevlex layout L: the entry terms of its reduced basis (L, entries)
+    when that is given, else exact generators."""
+    K = object.__new__(PolyIdeal)
+    K.ring, K._gens, K._held, K._basis = ring, None, (L, terms, basis is not None), basis
+    return K
+
+
 def _handed_over(ring, basis):
-    """The ideal of a (layout, reduced entries) basis, which it keeps; its
-    generators are the entries, primitive already, with the lex-leading
-    term made positive."""
-    L, entries = basis
-    unpacked = [L.unpack_terms(t) for _, _, t, _ in entries]
-    signs = [1 if t[max(t)] > 0 else -1 for t in unpacked]
-    result = PolyIdeal(ring, [Polynomial._trusted(ring, {e: Fraction(s * c) for e, c in t.items()})
-                              for s, t in zip(signs, unpacked)])
-    result._basis = basis
-    return result
+    """The ideal of a (layout, reduced entries) basis, which it holds."""
+    return _holding(ring, basis[0], [t for _, _, t, _ in basis[1]], basis)
+
+
+def _generator_terms(K, L):
+    """K's generators as integer term dicts packed by the degrevlex layout L,
+    each up to a nonzero rational factor; held ones are repacked only when L
+    has another width."""
+    if K._held is None:
+        return [_packed(g, L) for g in K.generators]
+    H, terms, signed = K._held
+    if H.width != L.width:
+        terms = [L.pack_terms(H.unpack_terms(t)) for t in terms]
+    return terms if signed else [_integer_terms(t)[0] for t in terms]
 
 
 def ideal_sum(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
@@ -593,41 +624,68 @@ def ideal_product(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     return PolyIdeal(I.ring, dict.fromkeys(f * g for f in I.generators for g in J.generators))
 
 
+def _times(p, q, L):
+    """The product of two packed term dicts of the layout L."""
+    out = {}
+    for e, c in p.items():
+        _subtract(out, -c, e - L.unit, q, L.guard)
+    return out
+
+
 def ideal_power(I: PolyIdeal, n: int) -> PolyIdeal:
     """I**n at generator level, ordered as ((I·I)·I)·I by `ideal_product`; n = 0 gives (1). A
     product first occurs at its lex-least index tuple, non-decreasing, whose prefix is its
-    factor's: so a factor whose tuple ends in m is multiplied only by generators j >= m."""
+    factor's: so a factor whose tuple ends in m is multiplied only by generators j >= m.
+    Each product is formed once, on packed term dicts with exact coefficients, and held."""
     if n < 0:
         raise ValueError("ideal powers need n >= 0")
     if n == 0:
         return PolyIdeal(I.ring, (Polynomial.constant(I.ring, 1),))
     if n == 1:
         return I
-    gens = list(dict.fromkeys(I.generators))
-    level = {g: m for m, g in enumerate(gens)}  # product -> last index of its tuple
-    for _ in range(n - 1):
-        nxt = {}
-        for f, m in level.items():
-            for j in range(m, len(gens)):
-                nxt.setdefault(f * gens[j], j)
-        level = nxt
-    return PolyIdeal(I.ring, level)
+
+    def run(L):  # integral coefficients go in as ints, which multiply faster
+        gens = [{L.pack(e): c.numerator if c.denominator == 1 else c for e, c in g.coeffs.items()}
+                for g in I.generators]
+        gens = list({frozenset(t.items()): t for t in gens}.values())
+        level = [(t, m) for m, t in enumerate(gens)]  # (product, last index of its tuple)
+        for _ in range(n - 1):
+            nxt = {}
+            for f, m in level:
+                for j in range(m, len(gens)):
+                    p = _times(f, gens[j], L)
+                    nxt.setdefault(frozenset(p.items()), (p, j))
+            level = nxt.values()
+        return _holding(I.ring, L, [p for p, _ in level])
+
+    return _widen(run, _Layout(DEGREVLEX, I.ring.nvars, _WIDTH))
 
 
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    """I ∩ J. When every generator of both ideals has one term, the kernel
-    `rings._intersection` gives the minimal tuples spanning it, whose monic
-    entries are its reduced degrevlex basis; any other input is eliminated."""
+    """I ∩ J, held as its reduced degrevlex basis. When every generator of
+    both ideals has one term, the pairwise-lcm formula (Miller-Sturmfels,
+    Prop. 1.14) runs on packed monomials: a monomial of one side that one of
+    the other side divides is kept as it is, lcms are formed only among the
+    rest, and the minimal ones, monic and largest first, are the reduced
+    basis. Any other input is eliminated."""
     check_same_ring(I, J)
     if I.is_zero() or J.is_zero():
         return PolyIdeal.zero(I.ring)
-    if any(len(g.coeffs) != 1 for g in I.generators + J.generators):
+    if any(len(t) != 1 for K in (I, J) for t in (K._held[1] if K._held else [g.coeffs for g in K.generators])):
         return _eliminate(I, J)
-    a, b = ([e for g in K.generators for e in g.coeffs] for K in (I, J))
-    minimal = _intersection(a, b)
-    return _handed_over(I.ring, _widen(
-        lambda L: (L, [_entry({u: 1}, L) for u in sorted(map(L.pack, minimal), reverse=True)]),
-        _Layout(DEGREVLEX, I.ring.nvars, _WIDTH)))
+
+    def run(L):
+        unit, guard = L.unit, L.guard
+        a, b = ([u ^ unit for t in _generator_terms(K, L) for u in t] for K in (I, J))
+        kept, rest = [], ([], [])
+        for i, (side, other) in enumerate(((a, b), (b, a))):
+            for u in side:
+                ug = u | guard
+                (kept if any((ug - v) & guard == guard for v in other) else rest[i]).append(u ^ unit)
+        kept += [L.lcm(u, v) for u in rest[0] for v in rest[1]]
+        return L, [_entry({u: 1}, L) for u in reversed(_packed_minimal(kept, L))]
+
+    return _handed_over(I.ring, _widen(run, I._held[0] if I._held else _Layout(DEGREVLEX, I.ring.nvars, _WIDTH)))
 
 
 def _eliminate(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
@@ -638,16 +696,17 @@ def _eliminate(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     the reduced block-order basis, the reduced degrevlex basis of I ∩ J.
     Below w's fields, which read (0, top) on a w-free monomial, the block
     layout is the degrevlex layout M of the other variables: packed by M, a
-    term u is u + cut w-free, and u + cut + L.coefs[0] times w."""
+    term u is u + cut w-free, and u + cut + L.coefs[0] times w. M is I's own
+    layout when it has the width, so I's held entries go in as they are."""
     if AUX_VARIABLE in I.ring.variables:
         raise ValueError(f"the variable name {AUX_VARIABLE!r} is reserved for elimination")
 
     def run(L):
-        M = _Layout(DEGREVLEX, I.ring.nvars, L.width)
+        M = I._held[0] if I._held and I._held[0].width == L.width else _Layout(DEGREVLEX, I.ring.nvars, L.width)
         cut, w = L.top << M.bits, L.coefs[0]
-        gens = [{u + cut + w: c for u, c in _packed(g, M).items()} for g in I.generators]
+        gens = [{u + cut + w: c for u, c in terms.items()} for terms in _generator_terms(I, M)]
         gens += [{u + cut + s: sign * c for s, sign in ((0, 1), (w, -1)) for u, c in terms.items()}
-                 for terms in (_packed(g, M) for g in J.generators)]
+                 for terms in _generator_terms(J, M)]
         kept = []
         for entry in _groebner_entries(gens, L):
             if entry[0] >> M.bits == L.top:

@@ -6,7 +6,7 @@ by (degree, exponents). Every operation works on the tuples and ends in
 ``==`` is exact ideal equality. `Monomial`s are built only at the boundary:
 by `minimalize`, which the public constructor runs on its monomials, by the
 `generators` property and by `lcm_of_generators`. `intersect` runs `rings._intersection`, the
-kernel both engines share.
+monomial engine's one intersection kernel.
 """
 
 from __future__ import annotations

@@ -121,11 +121,10 @@ class TestExponentHelpers:
 
     def test_helpers_match_definitions(self):
         # one definition each, in rings; the Groebner kernel shares only the
-        # tuple product (public polynomials) and the monomial intersection,
-        # and divides, takes lcms and minimalizes on its packed monomials
-        for name in ("_exp_mul", "_intersection"):
-            assert getattr(gb, name) is getattr(rings, name)
-        for name in ("_exp_divides", "_exp_lcm", "_support", "_minimal"):
+        # tuple product (public polynomials), and divides, takes lcms,
+        # minimalizes and intersects monomial ideals on its packed monomials
+        assert gb._exp_mul is rings._exp_mul
+        for name in ("_exp_divides", "_exp_lcm", "_support", "_minimal", "_intersection"):
             assert not hasattr(gb, name)
         for name in ("_minimal", "_intersection", "_has_divisor"):
             assert getattr(ideals, name) is getattr(rings, name)
@@ -702,8 +701,9 @@ class TestPinnedBases:
         # The lcms count the pair candidates, so a stale element that the
         # active filter should have dropped shows there too. Folding through
         # elimination alone runs the kernel on every step; the dispatching
-        # fold intersects the monomial primes with rings._intersection, whose
-        # lcms are counted too. It forms lcms only between the generators
+        # fold meets the monomial primes by pairwise lcms of packed monomials,
+        # with the kernel's _Layout.lcm, so those lcms are counted too (and so
+        # would any tuple lcm be). It forms lcms only between the generators
         # that do not lie in the other ideal, so its count is the smaller one.
         # The reductions' reads of their divisor lists are counted as well
         # (one per guard-bit test, one per divisor used): a reduction that
@@ -1085,16 +1085,17 @@ class TestKernelShortcuts:
     def test_power_forms_each_product_once(self, which, formed, monkeypatch):
         # at n = 4 the nested product forms 2*2 + 3*2 + 4*2 = 18 products for
         # the 2-generator prime, 3*3 + 6*3 + 10*3 = 57 for the 3-generator I;
-        # one per multiset of generators is 3 + 4 + 5 and 6 + 10 + 15
+        # one per multiset of generators is 3 + 4 + 5 and 6 + 10 + 15. The
+        # products are formed on packed term dicts, by _times
         case = builtin_case_A6()
         I = case.primes[-1] if which == "prime" else case.ideal
-        calls, mul = [], Polynomial.__mul__
+        calls, mul = [], gb._times
 
-        def counted(f, g):
+        def counted(*args):
             calls.append(1)
-            return mul(f, g)
+            return mul(*args)
 
-        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(gb, "_times", counted)
         power = ideal_power(I, 4)
         monkeypatch.undo()
         assert len(calls) == formed
@@ -1134,27 +1135,71 @@ class TestBuiltPolynomials:
         # ring and no polynomial is built but the generators it hands over
         case = builtin_case_A6()
         I, P = case.ideal, ideal_power(case.primes[-1], 2)
-        built = {"Polynomial": 0, "Ring": 0}
-        init, trusted, ring_init = Polynomial.__init__, Polynomial._trusted.__func__, Ring.__init__
-
-        def counted_init(self, *args):
-            built["Polynomial"] += 1
-            init(self, *args)
-
-        def counted_trusted(cls, *args):
-            built["Polynomial"] += 1
-            return trusted(cls, *args)
-
-        def counted_ring(self, *args):
-            built["Ring"] += 1
-            ring_init(self, *args)
-
-        monkeypatch.setattr(Polynomial, "__init__", counted_init)
-        monkeypatch.setattr(Polynomial, "_trusted", classmethod(counted_trusted))
-        monkeypatch.setattr(Ring, "__init__", counted_ring)
+        built = counting_builds(monkeypatch)
         K = ideal_intersect(I, P)
         assert built == {"Polynomial": len(K.generators), "Ring": 0}
         assert K.generators
+
+    @pytest.mark.parametrize("prepare, text", [
+        ("meet_monomials", "(x^2*z^3, y*z^3, x^2*y, x*y^2, x*y*z)"),
+        ("eliminate", "(x^2*z^3, x^3*y - x^2*z^2 - x*y^2 + y*z^2, y*z^3, x*y*z)"),
+        ("fold_a7_cube", "sha256 44785fde63bd85222a42e799233a628d2e2bef05bc4da580335c83fafd609c21"),
+    ])
+    def test_library_ideals_build_nothing_until_read(self, prepare, text, monkeypatch):
+        # an intersection holds its packed basis entries and a power its packed
+        # products, so no polynomial is built until the generators or the text
+        # are read, and then the text is the pinned one. The fold's progress
+        # lines count the entries
+        run = globals()[prepare]()  # the inputs are built before the count starts
+        built = counting_builds(monkeypatch)
+        K, lines = run()
+        assert built == {"Polynomial": 0, "Ring": 0} and not K.is_zero()
+        got = str(K)
+        assert built["Polynomial"] == len(K.generators)
+        if lines is not None:
+            got = "sha256 " + hashlib.sha256(got.encode()).hexdigest()
+            assert lines == [f"intersected {i}/12 ideals ({k} generators so far)"
+                             for i, k in enumerate((4, 6, 8, 8, 10, 10, 20, 17, 27, 14, 13), start=2)]
+        assert got == text
+
+
+def meet_monomials():
+    I, J = pideal(XYZ, "x^2", "3*y*z", "-2*x*y^2"), pideal(XYZ, "x*y", "z^3")
+    return lambda: (ideal_intersect(I, J), None)
+
+
+def eliminate():
+    I, J = pideal(XYZ, "x^2 - y", "y*z"), pideal(XYZ, "x*y - z^2", "-2*z^3")
+    return lambda: (ideal_intersect(I, J), None)
+
+
+def fold_a7_cube():
+    primes, lines = builtin_case_A7().primes, []
+    return lambda: (symbolic_power_from_primes(primes, 3, progress=lines.append), lines)
+
+
+def counting_builds(monkeypatch):
+    """A dict that counts the Polynomials (public and trusted) and the Rings
+    built from here on, until monkeypatch undoes it."""
+    built = {"Polynomial": 0, "Ring": 0}
+    init, trusted, ring_init = Polynomial.__init__, Polynomial._trusted.__func__, Ring.__init__
+
+    def counted_init(self, *args):
+        built["Polynomial"] += 1
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        built["Polynomial"] += 1
+        return trusted(cls, *args)
+
+    def counted_ring(self, *args):
+        built["Ring"] += 1
+        ring_init(self, *args)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(Ring, "__init__", counted_ring)
+    return built
 
 
 class TestPairLoopLeads:
