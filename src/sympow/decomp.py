@@ -6,15 +6,16 @@ Symbolic powers can be computed three independent ways that must agree:
   `_meet_prime_power`, the exact meet with the n-th power of a variable
   prime, over the minimal primes;
 * ``symbolic_power_from_decomposition`` -- intersect the n-th powers of
-  caller-supplied components by the shared kernel `rings._intersection`;
+  caller-supplied components by the shared kernel `rings._packed_meet`;
 * ``symbolic_power_saturation`` -- saturate I**n at the product of the
   variables outside each prime, then intersect by the same kernel.
 
 The minimal primes come from the Alexander-dual fold of `_meet_prime_power`
-at n = 1. So the squarefree path never runs `rings._intersection`, and the
+at n = 1. So the squarefree path never runs `rings._packed_meet`, and the
 decomposition path and the saturation path over the associated primes never
 run `_meet_prime_power`; over the minimal primes the saturation path shares
-only the dual fold that finds them.
+only the dual fold that finds them. Both kernels end in `rings._packed_scan`,
+and the tests check each against its definition.
 
 ``symbolic_power`` takes the squarefree path on squarefree input and the
 saturation path otherwise.
@@ -27,7 +28,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
-from .rings import DEGREVLEX, Monomial, Ring, _exp_lcm, _Layout, _minimal, _packed_scan, check_same_ring
+from .rings import DEGREVLEX, Monomial, Ring, _ascending, _exp_lcm, _Layout, _minimal, _packed_scan, check_same_ring
 
 
 class NotSquarefreeError(ValueError):
@@ -238,9 +239,7 @@ def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
     us = [0]
     for p in minimal_variable_primes(I):
         us = _meet_prime_power(us, p.variables, n, L)
-    exps = sorted(L.unpack(u ^ L.unit) for u in us)
-    exps.sort(key=sum)  # stable, so by (degree, exponents)
-    return MonomialIdeal._from_minimal(I.ring, exps)
+    return MonomialIdeal._from_minimal(I.ring, _ascending(us, L))
 
 
 def symbolic_power_from_decomposition(components, n: int) -> MonomialIdeal:

@@ -18,7 +18,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rings import (DEGREVLEX, BlockElimination, Monomial, MonomialOrder, Ring, _exp_mul, _Layout, _Overflow,
-                    _packed_scan, check_same_ring)
+                    _packed_meet, _packed_scan, check_same_ring)
 
 AUX_VARIABLE = "@w"  # reserved for elimination; the file grammar rejects it
 _WIDTH = 16  # bits per packed field, guard bit included, as a kernel run starts
@@ -663,27 +663,18 @@ def ideal_power(I: PolyIdeal, n: int) -> PolyIdeal:
 
 def ideal_intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     """I ∩ J, held as its reduced degrevlex basis. When every generator of
-    both ideals has one term, the pairwise-lcm formula (Miller-Sturmfels,
-    Prop. 1.14) runs on packed monomials: a monomial of one side that one of
-    the other side divides is kept as it is, lcms are formed only among the
-    rest, and the minimal ones, monic and largest first, are the reduced
-    basis. Any other input is eliminated."""
+    both ideals has one term, both engines' one kernel `rings._packed_meet`
+    runs on the packed monomials, and its minimal lcms, monic and largest
+    first, are the reduced basis. Any other input is eliminated."""
     check_same_ring(I, J)
     if I.is_zero() or J.is_zero():
         return PolyIdeal.zero(I.ring)
     if any(len(t) != 1 for K in (I, J) for t in (K._held[1] if K._held else [g.coeffs for g in K.generators])):
         return _eliminate(I, J)
 
-    def run(L):
-        unit, guard = L.unit, L.guard
-        a, b = ([u ^ unit for t in _generator_terms(K, L) for u in t] for K in (I, J))
-        kept, rest = [], ([], [])
-        for i, (side, other) in enumerate(((a, b), (b, a))):
-            for u in side:
-                ug = u | guard
-                (kept if any((ug - v) & guard == guard for v in other) else rest[i]).append(u ^ unit)
-        kept += [L.lcm(u, v) for u in rest[0] for v in rest[1]]
-        return L, [_entry({u: 1}, L) for u in reversed(_packed_minimal(kept, L))]
+    def run(L):  # the meet's ints ascend in exponent form, which is not the term order
+        a, b = ([u ^ L.unit for t in _generator_terms(K, L) for u in t] for K in (I, J))
+        return L, [_entry({u: 1}, L) for u in sorted((m ^ L.unit for m in _packed_meet(a, b, L)), reverse=True)]
 
     return _handed_over(I.ring, _widen(run, I._held[0] if I._held else _Layout(DEGREVLEX, I.ring.nvars, _WIDTH)))
 

@@ -1,12 +1,12 @@
 """Monomial ideals in canonical minimal-generator form.
 
 A `MonomialIdeal` holds its ring and its minimal exponent tuples, ascending
-by (degree, exponents). Every operation works on the tuples and ends in
-`rings._minimal`, so two equal ideals carry the identical tuple and plain
-``==`` is exact ideal equality. `Monomial`s are built only at the boundary:
-by `minimalize`, which the public constructor runs on its monomials, by the
-`generators` property and by `lcm_of_generators`. `intersect` runs `rings._intersection`, the
-monomial engine's one intersection kernel.
+by (degree, exponents), so two equal ideals carry the identical tuple and
+plain ``==`` is exact ideal equality. Every operation works on the tuples and
+ends in `rings._minimal`, but `intersect` runs both engines' one kernel
+`rings._packed_meet` on packed ints. `Monomial`s are built only at the
+boundary: by `minimalize`, which the public constructor runs on its
+monomials, by the `generators` property and by `lcm_of_generators`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .rings import (Monomial, Ring, _exp_lcm, _exp_mul, _has_divisor, _intersection, _minimal,
-                    _support, check_same_ring)
+from .rings import (DEGREVLEX, Monomial, Ring, _ascending, _exp_lcm, _exp_mul, _has_divisor, _Layout,
+                    _minimal, _packed_meet, _support, check_same_ring)
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,12 @@ class MonomialIdeal:
         return all(_has_divisor(e, theirs) for e in self.exps)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Intersection by the shared kernel `rings._intersection`."""
+        """Intersection by the shared kernel `rings._packed_meet`; every lcm fits its layout."""
         check_same_ring(self, other)
-        return MonomialIdeal._from_minimal(self.ring, _intersection(self.exps, other.exps))
+        top = sum(sum(K.exps[-1]) for K in (self, other) if K.exps)
+        L = _Layout(DEGREVLEX, self.ring.nvars, top.bit_length() + 1)
+        a, b = ([L.pack(e) ^ L.unit for e in K.exps] for K in (self, other))
+        return MonomialIdeal._from_minimal(self.ring, _ascending(_packed_meet(a, b, L), L))
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         check_same_ring(self, other)

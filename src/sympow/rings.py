@@ -1,8 +1,7 @@
 """Rings of named variables, exponent-vector monomials over them, the
-exponent-tuple helpers the monomial engine and the Groebner kernel share, the
-block monomial orders, and `_Layout`, the one packed-int form of exponent
-vectors: the Groebner kernel and the squarefree folds of `decomp` both run on
-it."""
+exponent-tuple helpers, the block monomial orders, and `_Layout`, the one
+packed-int form of exponent vectors, which the Groebner kernel, the squarefree
+folds of `decomp` and `_packed_meet`, both engines' one intersection kernel, run on."""
 
 from __future__ import annotations
 
@@ -41,12 +40,12 @@ def _minimal(exps):
 def _packed_scan(packed, guard):
     """The ints of ``packed``, listed divisors first, that no int before them
     divides; a repeat is dropped. Each holds plain exponent fields whose top
-    bits, ``guard``, are clear: m | e exactly when ((e | guard) - m) & guard == guard."""
+    bits, ``guard``, are clear: m | e exactly when (e - m) & guard == 0, as the
+    lowest field where m exceeds e borrows and so sets its guard bit."""
     kept = []
     for r in packed:
-        rg = r | guard
         for m in kept:
-            if (rg - m) & guard == guard:
+            if not (r - m) & guard:
                 break
         else:
             kept.append(r)
@@ -123,8 +122,9 @@ class _Layout:
     one out of range sets its guard bit, so the sum is valid exactly when it
     has no bit of ``guard``. In the exponent form u ^ unit every field is
     plain (the zero vector is 0, a product one addition) and a divisor's int is
-    at most its multiple's: d | e exactly when (((e ^ unit) | guard) -
-    (d ^ unit)) & guard == guard, the test of `_packed_scan`. Each ``sums``
+    at most its multiple's: d | e exactly when ((e ^ unit) - (d ^ unit)) &
+    guard == 0, the test of `_packed_scan`, or when (((e ^ unit) | guard) -
+    (d ^ unit)) & guard == guard, the kernel's. Each ``sums``
     entry (variable fields, multiplier, degree field) of a grevlex block sums
     the block's fields into its degree field by one product."""
 
@@ -191,18 +191,23 @@ def _has_divisor(e, masked):
     return False
 
 
-def _intersection(a, b):
-    """The minimal exponent tuples spanning the intersection of the ideals the
-    tuples a and b span. A tuple of one side that a tuple of the other side
-    divides lies in both ideals, and every lcm it would form is its multiple,
-    so it is kept as it is; lcms are formed only among the tuples that remain
-    (the pairwise-lcm formula, Miller-Sturmfels, Prop. 1.14)."""
-    sides = [[(e, _support(e)) for e in side] for side in (a, b)]
-    kept, rest = [], ([], [])
-    for i in (0, 1):
-        for e, _ in sides[i]:
-            (kept if _has_divisor(e, sides[1 - i]) else rest[i]).append(e)
-    return _minimal(kept + [_exp_lcm(u, v) for u in rest[0] for v in rest[1]])
+def _packed_meet(a, b, L):
+    """The minimal exponent-form ints, ascending, spanning the intersection of
+    the ideals the exponent-form ints a and b of the degrevlex layout L span,
+    by pairwise lcms (Miller-Sturmfels, Prop. 1.14). An int of one side that one
+    of the other divides lies in both and divides every lcm it would form, so it
+    is kept; lcms, which raise _Overflow past L's fields, are formed among the rest."""
+    guard, kept, rest = L.guard, [], ([], [])
+    for i, (side, other) in enumerate(((a, b), (b, a))):
+        for u in side:
+            (kept if any(not (u - v) & guard for v in other) else rest[i]).append(u ^ L.unit)
+    kept += [L.lcm(u, v) for u in rest[0] for v in rest[1]]  # `_Layout.lcm` takes and gives packed ints
+    return _packed_scan(sorted({u ^ L.unit for u in kept}), guard)
+
+
+def _ascending(us, L):
+    """The tuples of the exponent-form ints us of the layout L, ascending by (degree, exponents)."""
+    return sorted(sorted(L.unpack(u ^ L.unit) for u in us), key=sum)  # stable, so exponents break ties
 
 
 def _support(exps):

@@ -1,6 +1,7 @@
 """Decompositions and the three symbolic-power paths, cross-checked."""
 
 from itertools import combinations, combinations_with_replacement, product
+from operator import le
 
 import pytest
 from conftest import cycle_ideal, mideal, mono, random_monomial_ideal, random_squarefree_ideal, seeded
@@ -331,21 +332,25 @@ class TestSymbolicPowerPaths:
 
 class TestMeetPrimePower:
     """`decomp._meet_prime_power`, the prime-power identity
-    I ∩ P^n = Σ_u u·P^max(0, n - deg_P u), against the shared kernel
-    `rings._intersection` on the tuples of P^n from `MonomialIdeal.power`."""
+    I ∩ P^n = Σ_u u·P^max(0, n - deg_P u), against the plain pairwise-lcm
+    formula on the tuples of P^n, minimalized by the definition. The shared
+    kernel `rings._packed_meet` is no oracle here: it ends in the meet's own
+    `_packed_scan`."""
 
     @staticmethod
-    def by_kernel(exps, variables, n):
-        R = Ring(tuple(f"x{i}" for i in range(len(exps[0]))))
-        power = MonomialIdeal.from_variables(R, variables).power(n)
-        return rings._intersection(exps, [g.exponents for g in power.generators])
+    def by_definition(exps, variables, n):
+        power = [tuple(c.count(i) for i in range(len(exps[0])))
+                 for c in combinations_with_replacement(variables, n)]
+        lcms = {tuple(map(max, u, v)) for u in exps for v in power}
+        minimal = [m for m in lcms if not any(d != m and all(map(le, d, m)) for d in lcms)]
+        return sorted(minimal, key=lambda e: (sum(e), e))
 
     @staticmethod
     def meet(exps, variables, n):
         # in the exponent form of a layout wide enough for every product, which
         # adds at most n to a degree; the meet's tuples come in no fixed order;
         # a sorted list, not a set, so that a repeated tuple still fails against
-        # the kernel
+        # the definition
         L = rings._Layout(rings.DEGREVLEX, len(exps[0]), (max(map(sum, exps)) + n).bit_length() + 1)
         out = decomp._meet_prime_power([L.pack(e) ^ L.unit for e in exps], variables, n, L)
         return sorted((L.unpack(u ^ L.unit) for u in out), key=lambda e: (sum(e), e))
@@ -368,7 +373,7 @@ class TestMeetPrimePower:
             seen["sizes"].add((nvars, len(variables)))
             seen["powers"].add(n)
             for given in (exps, [(0,) * nvars]):
-                assert self.meet(given, variables, n) == self.by_kernel(given, variables, n)
+                assert self.meet(given, variables, n) == self.by_definition(given, variables, n)
         assert seen["in_power"] and seen["over"] and seen["powers"] == {1, 2, 3, 4}
         assert seen["sizes"] == {(v, p) for v in range(1, 9) for p in range(1, v + 1)}
 
@@ -377,7 +382,7 @@ class TestMeetPrimePower:
         # product x1·x2·y appears once
         exps = [(0, 1, 1), (1, 0, 1)]
         assert self.meet(exps, (0, 1), 2) == [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
-        assert self.meet(exps, (0, 1), 2) == self.by_kernel(exps, (0, 1), 2)
+        assert self.meet(exps, (0, 1), 2) == self.by_definition(exps, (0, 1), 2)
 
     def test_below_at_and_above_n_in_one_meet(self):
         # I = (z, x·y, x^3), P = (x, y), n = 2: z is below n and reaches x^2·z,
@@ -385,7 +390,7 @@ class TestMeetPrimePower:
         exps = [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
         expected = [(1, 1, 0), (0, 2, 1), (2, 0, 1), (3, 0, 0)]
         assert self.meet(exps, (0, 1), 2) == expected
-        assert self.by_kernel(exps, (0, 1), 2) == expected
+        assert self.by_definition(exps, (0, 1), 2) == expected
 
     def test_p_degree_below_at_and_above_n(self):
         # generators built around n in P-degree, so that a generator at n divides
@@ -410,7 +415,7 @@ class TestMeetPrimePower:
             seen["below"] += sum(d < n for d in degrees)
             seen["at"] += sum(d == n for d in degrees)
             seen["above"] += sum(d > n for d in degrees)
-            assert self.meet(exps, variables, n) == self.by_kernel(exps, variables, n)
+            assert self.meet(exps, variables, n) == self.by_definition(exps, variables, n)
             # e at n divides a product u·p exactly when e matches or exceeds u on P
             # and u matches or exceeds e off P (then p is e's P-part less u's)
             seen["at_divides_a_product"] += any(
@@ -458,8 +463,8 @@ class TestMeetPrimePower:
             raise AssertionError("a symbolic-power path reached another path's fold")
 
         with monkeypatch.context() as m:
-            for module, name in ((decomp, "_intersect_fold"), (rings, "_intersection"),
-                                 (ideals, "_intersection")):
+            for module, name in ((decomp, "_intersect_fold"), (rings, "_packed_meet"),
+                                 (ideals, "_packed_meet")):
                 m.setattr(module, name, refuse)
             assert symbolic_power_squarefree(case.ideal, 2) == case.expected_square
         monkeypatch.setattr(decomp, "_meet_prime_power", refuse)

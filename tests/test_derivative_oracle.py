@@ -41,6 +41,6 @@ def test_uses_no_fold(monkeypatch):
         raise AssertionError("the oracle reached a fold")
 
     for module, name in ((decomp, "_meet_prime_power"), (decomp, "minimal_variable_primes"),
-                         (rings, "_intersection"), (ideals, "_intersection")):
+                         (rings, "_packed_meet"), (ideals, "_packed_meet")):
         monkeypatch.setattr(module, name, refuse)
     assert generator_errors(I.exps, power, 3) == []

@@ -121,13 +121,17 @@ class TestExponentHelpers:
 
     def test_helpers_match_definitions(self):
         # one definition each, in rings; the Groebner kernel shares only the
-        # tuple product (public polynomials), and divides, takes lcms,
-        # minimalizes and intersects monomial ideals on its packed monomials
+        # tuple product (public polynomials) and the packed meet, and divides,
+        # takes lcms and minimalizes on its packed monomials
         assert gb._exp_mul is rings._exp_mul
-        for name in ("_exp_divides", "_exp_lcm", "_support", "_minimal", "_intersection"):
+        for name in ("_exp_divides", "_exp_lcm", "_support", "_minimal"):
             assert not hasattr(gb, name)
-        for name in ("_minimal", "_intersection", "_has_divisor"):
+        for name in ("_minimal", "_has_divisor"):
             assert getattr(ideals, name) is getattr(rings, name)
+        # one pairwise-lcm meet for both engines; the tuple kernel is gone
+        assert ideals._packed_meet is rings._packed_meet is gb._packed_meet
+        for module in (rings, ideals, gb, decomp):
+            assert not hasattr(module, "_intersection")
         # one packed layout, in rings, for the kernel and the squarefree folds
         assert gb._Layout is rings._Layout and not hasattr(decomp, "_Packing")
         for a, b in self.pairs():
@@ -241,13 +245,21 @@ class TestExponentHelpers:
     def test_intersection_matches_pairwise_lcms(self):
         # the oracle is the plain pairwise-lcm formula with the definition of
         # minimality above: the monomial paths all share the kernel, so their
-        # agreement with each other would not check it
+        # agreement with each other would not check it. The kernel runs on
+        # the raw lists, repeats and non-minimal tuples included, in a layout
+        # wide enough for every lcm, and through `MonomialIdeal.intersect`
         fired = [0, 0]
         for a, b in self.intersection_cases():
             expected = self.minimal_by_pairs(
                 [tuple(max(x, y) for x, y in zip(u, v)) for u in a for v in b])
-            assert rings._intersection(a, b) == expected
-            assert rings._intersection(iter(a), iter(b)) == expected
+            nvars = len((a + b + [()])[0]) or 1
+            top = sum(max(map(sum, side), default=0) for side in (a, b))
+            L = rings._Layout(rings.DEGREVLEX, nvars, top.bit_length() + 1)
+            packed = ([L.pack(e) ^ L.unit for e in side] for side in (a, b))
+            assert rings._ascending(rings._packed_meet(*packed, L), L) == expected
+            ring = Ring(tuple(f"x{i}" for i in range(nvars)))
+            I, J = (MonomialIdeal(ring, map(ring.monomial, side)) for side in (a, b))
+            assert I.intersect(J).exps == tuple(expected)
             for i, (mine, theirs) in enumerate(((a, b), (b, a))):
                 fired[i] += sum(any(all(x <= y for x, y in zip(v, u)) for v in theirs)
                                 for u in mine)
@@ -349,6 +361,8 @@ class TestLayout:
                         continue
                     test = (((L.pack(b) ^ L.unit) | L.guard) - word) & L.guard == L.guard
                     assert test == rings._exp_divides(a, b)
+                    # the borrow form of `_packed_scan` and `_packed_meet` agrees
+                    assert (not ((L.pack(b) ^ L.unit) - word) & L.guard) == test
                     # `_packed_scan` needs a divisor's exponent form listed first
                     assert not test or word <= L.pack(b) ^ L.unit
                     divisible += test

@@ -1,8 +1,10 @@
-"""``ideal_intersect``'s monomial branch, which meets packed monomials, against
-the pairwise-lcm definition on exponent tuples and against
-`MonomialIdeal.intersect`, which runs the tuple kernel `rings._intersection`
-and shares no code with the branch. Exponents near the top of a 16-bit field make an lcm, or an
-input, overflow, so the run widens to 32 bits; an elimination whose left
+"""``ideal_intersect``'s monomial branch against the pairwise-lcm definition
+on exponent tuples, which shares no code with it, and against
+`MonomialIdeal.intersect`. Both run the one kernel `rings._packed_meet`, so
+their agreement checks the layouts and orders around it, not the kernel.
+Exponents near the top of a 16-bit field make an lcm, or an input,
+overflow, so the branch's run widens to 32 bits; `MonomialIdeal.intersect`
+sizes its layout so that it never overflows. An elimination whose left
 ideal is held at 32 bits but fits 16 repacks its entries."""
 
 from operator import le

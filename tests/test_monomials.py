@@ -1,6 +1,7 @@
 """Monomial and monomial-ideal arithmetic, with brute-force oracles."""
 
 from fractions import Fraction
+from operator import le
 
 import pytest
 from conftest import mideal, mono, random_monomial, random_monomial_ideal, seeded
@@ -143,6 +144,42 @@ class TestIntersect:
     def test_unit_identity(self, R4):
         K = mideal(R4, "x*y", "z^3")
         assert K.intersect(MonomialIdeal.unit(R4)) == K
+
+    def test_layout_width_edges(self):
+        # the packed meet's fields hold the sum of the sides' largest degrees,
+        # the largest degree an lcm can reach: sums of 2^k - 1 fill a field to
+        # its top, sums of 2^k need the next bit, and exponents near 2^20 go
+        # far past the Groebner kernel's starting width; nothing overflows
+        R = Ring(("x", "y", "z"))
+
+        def by_definition(a, b):
+            lcms = {tuple(map(max, u, v)) for u in a for v in b}
+            keep = [m for m in lcms if not any(d != m and all(map(le, d, m)) for d in lcms)]
+            return tuple(sorted(keep, key=lambda e: (sum(e), e)))
+
+        ks = (1, 2, 3, 5, 8, 16, 20)
+        zero, unit = MonomialIdeal.zero(R), MonomialIdeal.unit(R)
+        cases = [(zero, zero), (unit, unit), (unit, zero)]
+        cases += [(unit, mideal(R, "x^3", "y*z")), (zero, mideal(R, "x^3", "y*z"))]
+        for k in ks:
+            for total in (2**k - 1, 2**k):
+                da = total // 2
+                a = [(da, 0, 0), (0, 0, 1)] if da else [(0, 0, 0)]
+                b = [(0, total - da - 1, 1), (0, total - da, 0)]
+                cases.append((MonomialIdeal(R, map(R.monomial, a)), MonomialIdeal(R, map(R.monomial, b))))
+        near = 1 << 20
+        cases.append((MonomialIdeal(R, [R.monomial((near - 1, 0, 1)), R.monomial((0, 2, 0))]),
+                      MonomialIdeal(R, [R.monomial((1, near + 1, 0)), R.monomial((0, 0, near))])))
+        reached = set()
+        for I, J in cases:
+            for left, right in ((I, J), (J, I)):
+                got = left.intersect(right).exps
+                assert got == by_definition(left.exps, right.exps)
+                top = sum(sum(K.exps[-1]) for K in (left, right) if K.exps)
+                if got and sum(got[-1]) == top:
+                    reached.add(top)
+        # in every edge case an lcm of the result reaches the summed degree
+        assert {t for k in ks for t in (2**k - 1, 2**k)} <= reached
 
     def test_membership_oracle_random(self):
         rng = seeded(104)
