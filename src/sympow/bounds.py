@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decomp import symbolic_power
 from .ideals import MonomialIdeal
+from .rings import _Record
 
 BOUND_HUNEKE = "huneke_D_times_n"
 BOUND_LCM = "lcm_degree"
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound_kind: str
-    n: int
-    d_in: int
-    bound: int
+class BoundReport(_Record):
+    __slots__ = ("bound_kind", "n", "d_in", "bound")
+
+    def __init__(self, bound_kind: str, n: int, d_in: int, bound: int):
+        self._set(bound_kind, n, d_in, bound)
 
     @property
     def satisfied(self) -> bool:
@@ -48,12 +46,13 @@ def bound_report(I: MonomialIdeal, n: int, d_in: int, kind: str, D: int | None =
     return BoundReport(kind, n, d_in, per_n_bound(I, kind, D) * n)
 
 
-@dataclass(frozen=True)
-class GrowthSequence:
-    """(n, d(I^(n))) for n = 1..N."""
+class GrowthSequence(_Record):
+    """(n, d(I^(n))) for n = 1..N; ``complete`` is true until a budget stop can cut a sequence short."""
 
-    entries: tuple
-    complete: bool  # always true until a budget stop can cut a sequence short
+    __slots__ = ("entries", "complete")
+
+    def __init__(self, entries: tuple, complete: bool):
+        self._set(entries, complete)
 
 
 def degree_sequence(I: MonomialIdeal, N: int) -> GrowthSequence:

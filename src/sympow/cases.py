@@ -9,23 +9,22 @@ symbolic square and ``D`` a recorded primary decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ideal_files import monomial_ideal_from_poly, parse_ideal_file
 from .ideals import MonomialIdeal
-from .rings import Ring
+from .rings import Ring, _Record
 
 
-@dataclass(frozen=True)
-class MonomialCase:
-    name: str
-    ring: Ring
-    ideal: MonomialIdeal
-    components: tuple  # a recorded primary decomposition, or ()
-    expected_square: MonomialIdeal  # recorded generators of the symbolic square
-    expected_beg: int
-    expected_max_degree: int
-    generator_degree: int  # D for the D*n bound
+class MonomialCase(_Record):
+    """``components`` is a recorded primary decomposition, or (); ``expected_square``
+    the recorded generators of the symbolic square; ``generator_degree`` D for
+    the D*n bound."""
+
+    __slots__ = ("name", "ring", "ideal", "components", "expected_square", "expected_beg", "expected_max_degree",
+                 "generator_degree")
+
+    def __init__(self, name: str, ring: Ring, ideal: MonomialIdeal, components: tuple,
+                 expected_square: MonomialIdeal, expected_beg: int, expected_max_degree: int, generator_degree: int):
+        self._set(name, ring, ideal, components, expected_square, expected_beg, expected_max_degree, generator_degree)
 
 
 EX31 = """\

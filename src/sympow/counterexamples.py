@@ -16,26 +16,24 @@ helper computes its ideal on every call: nothing outlives the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bounds import BOUND_HUNEKE, BoundReport
 from .groebner import PolyIdeal, Polynomial, ideal_equals, ideal_intersect, ideal_power, ideal_quotient, ideal_sum
 from .ideal_files import parse_ideal_file
-from .rings import Ring
+from .rings import Ring, _Record
 
 
-@dataclass(frozen=True)
-class CounterexampleCase:
-    name: str
-    ring: Ring
-    ideal: PolyIdeal
-    witness: Polynomial
-    witness_alt: Polynomial | None
-    primes: tuple  # height-2 primes as 2-generator PolyIdeals
-    primes_source: str  # "recorded" with the case, or "derived" by factor analysis
-    expected_colon: PolyIdeal
-    expected_witness_degree: int
-    generator_degree: int
+class CounterexampleCase(_Record):
+    """``primes`` are the height-2 primes as 2-generator PolyIdeals, and
+    ``primes_source`` is "recorded" with the case, or "derived" by factor analysis."""
+
+    __slots__ = ("name", "ring", "ideal", "witness", "witness_alt", "primes", "primes_source", "expected_colon",
+                 "expected_witness_degree", "generator_degree")
+
+    def __init__(self, name: str, ring: Ring, ideal: PolyIdeal, witness: Polynomial, witness_alt: Polynomial | None,
+                 primes: tuple, primes_source: str, expected_colon: PolyIdeal, expected_witness_degree: int,
+                 generator_degree: int):
+        self._set(name, ring, ideal, witness, witness_alt, primes, primes_source, expected_colon,
+                  expected_witness_degree, generator_degree)
 
     def square(self) -> PolyIdeal:
         return ideal_power(self.ideal, 2)

@@ -23,34 +23,32 @@ saturation path otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
-from .rings import DEGREVLEX, Monomial, Ring, _ascending, _exp_lcm, _Layout, _minimal, _packed_scan, check_same_ring
+from .rings import (DEGREVLEX, Monomial, Ring, _ascending, _exp_lcm, _Layout, _minimal, _packed_scan, _Record,
+                    check_same_ring)
 
 
 class NotSquarefreeError(ValueError):
     """The operation needs a squarefree ideal."""
 
 
-@dataclass(frozen=True)
-class VariablePrime:
+class VariablePrime(_Record):
     """Prime ideal generated by a set of variables (given by index)."""
 
-    ring: Ring
-    variables: tuple
+    __slots__ = ("ring", "variables")
 
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, ring: Ring, variables: tuple):
+        if not variables:
             raise ValueError("a variable prime needs at least one variable")
-        if list(self.variables) != sorted(set(self.variables)):
+        if list(variables) != sorted(set(variables)):
             raise ValueError("variable indices must be sorted and distinct")
         # a float or Fraction index makes the sum a non-int
-        if (not isinstance(sum(self.variables), int) or self.variables[0] < 0
-                or self.variables[-1] >= self.ring.nvars):
+        if not isinstance(sum(variables), int) or variables[0] < 0 or variables[-1] >= ring.nvars:
             raise ValueError("variable index out of range")
+        self._set(ring, variables)
 
     @property
     def names(self) -> tuple:
@@ -69,15 +67,15 @@ class VariablePrime:
         return "(" + ", ".join(self.names) + ")"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Ordered list of components whose intersection is the input ideal."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple):
+        if not components:
             raise ValueError("need at least one decomposition component")
+        self._set(components)
 
     def intersection(self) -> MonomialIdeal:
         return _intersect_fold(list(self.components))

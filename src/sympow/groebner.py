@@ -295,9 +295,9 @@ def _reduce_dict(p, divisors, L, first=None):
             continue
         k = first.get(e, 0)
         if k < n:
-            eg = (e ^ unit) | guard
+            eu = e ^ unit
             for k in range(k, n):
-                if (eg - divisors[k][3]) & guard == guard:
+                if not (eu - divisors[k][3]) & guard:
                     break
             else:
                 k = n
@@ -385,7 +385,7 @@ def divide_exact(f: Polynomial, d: Polynomial) -> Polynomial:
         de = max(dterms)
         while p:
             e = max(p)
-            if (((e ^ L.unit) | L.guard) - (de ^ L.unit)) & L.guard != L.guard:
+            if ((e ^ L.unit) - (de ^ L.unit)) & L.guard:
                 raise InternalInvariantError("exact division left a remainder; the divisor was "
                                              "expected to divide every element here")
             q[e - de + L.unit] = factor = p[e] / dterms[de]
@@ -472,7 +472,7 @@ def _groebner_entries(gens, L):
         new = len(divisors)
         # criterion B: the new lead divides the lcm but neither lcm with it equals it
         for (i, j), P in list(pending.items()):
-            if (((P ^ unit) | guard) - word) & guard == guard and lcm(lms[i], de) != P != lcm(lms[j], de):
+            if not ((P ^ unit) - word) & guard and lcm(lms[i], de) != P != lcm(lms[j], de):
                 del pending[i, j]
         # new pairs, grouped by lcm: (first member, any member coprime)
         groups = {}
@@ -486,7 +486,7 @@ def _groebner_entries(gens, L):
             if not coprime:
                 pending[j, new] = P
                 heappush(heap, (sum(P >> s & top for s in L.dshifts), P, j, new))
-        active[:] = [j for j in active if (((lms[j] ^ unit) | guard) - word) & guard != guard]
+        active[:] = [j for j in active if ((lms[j] ^ unit) - word) & guard]
         active.append(new)
         lms.append(de)
         divisors.append(entry)

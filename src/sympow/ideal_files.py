@@ -23,11 +23,10 @@ content-normalized, terms descending under degrevlex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .groebner import PolyIdeal, Polynomial
 from .ideals import MonomialIdeal
-from .rings import Ring, _exp_mul
+from .rings import Ring, _exp_mul, _Record
 
 # one token after whitespace; END is the end of the line or its comment
 _SCAN = re.compile(r"""\s*(?:
@@ -195,13 +194,16 @@ def parse_polynomial(ring: Ring, text: str, lineno: int = 1) -> Polynomial:
     return p
 
 
-@dataclass
-class IdealFile:
-    """One ring, named ideals, and named decompositions (ideal-name lists)."""
+class IdealFile(_Record):
+    """One ring, named ideals, and named decompositions (ideal-name lists):
+    a record that the parser fills in, so mutable and unhashable."""
 
-    ring: Ring
-    ideals: dict = field(default_factory=dict)
-    decompositions: dict = field(default_factory=dict)
+    __slots__ = ("ring", "ideals", "decompositions")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, ring: Ring, ideals: dict | None = None, decompositions: dict | None = None):
+        self._set(ring, {} if ideals is None else ideals, {} if decompositions is None else decompositions)
 
     def ideal(self, name: str) -> PolyIdeal:
         if name not in self.ideals:

@@ -11,20 +11,19 @@ monomials, by the `generators` property and by `lcm_of_generators`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .rings import (DEGREVLEX, Monomial, Ring, _ascending, _exp_lcm, _exp_mul, _has_divisor, _Layout,
-                    _minimal, _packed_meet, _support, check_same_ring)
+                    _minimal, _packed_meet, _Record, _support, check_same_ring)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(_Record):
     """Generator-degree summary; max/beg are None for the zero ideal."""
 
-    max_gen_degree: int | None
-    beg: int | None
-    count: int
+    __slots__ = ("max_gen_degree", "beg", "count")
+
+    def __init__(self, max_gen_degree: int | None, beg: int | None, count: int):
+        self._set(max_gen_degree, beg, count)
 
 
 def minimalize(ring: Ring, monomials) -> tuple:

@@ -1,12 +1,53 @@
 """Rings of named variables, exponent-vector monomials over them, the
-exponent-tuple helpers, the block monomial orders, and `_Layout`, the one
-packed-int form of exponent vectors, which the Groebner kernel, the squarefree
-folds of `decomp` and `_packed_meet`, both engines' one intersection kernel, run on."""
+exponent-tuple helpers, the block monomial orders, `_Record`, the frozen base
+of the library's value records, and `_Layout`, the one packed-int form of
+exponent vectors, which the Groebner kernel, the squarefree folds of `decomp`
+and `_packed_meet`, both engines' one intersection kernel, run on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, le, mul, neg
+
+
+class _Record:
+    """A value record: a slotted class whose ``__init__`` checks its arguments,
+    then stores them in slot order by `_set`. It equals a record of its own class
+    with equal fields, hashes by them, prints as ``Name(field=value, ...)`` and
+    refuses assignment and deletion with FrozenInstanceError. Unlike generated
+    record classes, it writes and compiles no code at import."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not by assignment
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        _refuse("assign to", name)
+
+    def __delattr__(self, name):
+        _refuse("delete", name)
+
+
+def _refuse(verb, name):
+    from dataclasses import FrozenInstanceError  # imported on this error path only
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
 def _exp_mul(a, b):
@@ -66,6 +107,7 @@ class MonomialOrder:
     same way. The Groebner kernel packs by the blocks, so an order that
     defines only ``key`` raises TypeError there."""
 
+    __slots__ = ()
     blocks = None
 
     def spans(self, nvars):
@@ -87,21 +129,21 @@ class MonomialOrder:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class DegRevLex(MonomialOrder):
+class DegRevLex(_Record, MonomialOrder):
+    __slots__ = ()
     blocks = (("grevlex", None),)
 
 
-@dataclass(frozen=True)
-class BlockElimination(MonomialOrder):
+class BlockElimination(_Record, MonomialOrder):
     """Degrevlex on the first ``first_k`` variables, then on the rest: an
     element whose lead avoids the first block is free of it (elimination)."""
 
-    first_k: int
+    __slots__ = ("first_k",)
 
-    def __post_init__(self):
-        if self.first_k < 1:
+    def __init__(self, first_k: int):
+        if first_k < 1:
             raise ValueError("the first block needs at least one variable")
+        self._set(first_k)
 
     @property
     def blocks(self):
@@ -121,10 +163,11 @@ class _Layout:
     Each field of such a sum of valid ints lies in -top..2·top and the lowest
     one out of range sets its guard bit, so the sum is valid exactly when it
     has no bit of ``guard``. In the exponent form u ^ unit every field is
-    plain (the zero vector is 0, a product one addition) and a divisor's int is
-    at most its multiple's: d | e exactly when ((e ^ unit) - (d ^ unit)) &
-    guard == 0, the test of `_packed_scan`, or when (((e ^ unit) | guard) -
-    (d ^ unit)) & guard == guard, the kernel's. Each ``sums``
+    plain (the zero vector is 0, a product one addition): d | e exactly when
+    ((e ^ unit) - (d ^ unit)) & guard == 0, the one divisibility test of
+    `_packed_scan` and the kernel. The lowest field where d exceeds e borrows
+    and sets its guard bit, so the test is exact also on a negative
+    difference. Each ``sums``
     entry (variable fields, multiplier, degree field) of a grevlex block sums
     the block's fields into its degree field by one product."""
 

@@ -1,6 +1,10 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and
+importing the library generates no code."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,12 @@ def test_no_unused_import(path):
 def test_guard_sees_an_unused_import():
     source = "import json\nfrom .rings import Ring, Monomial\nx = Ring\n"
     assert unused_imports(source) == [(1, "json"), (2, "Monomial")]
+
+
+def test_import_loads_no_code_generation():
+    # the value records are slotted classes: nothing pulls in dataclasses or inspect
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(sympow.__file__).parent.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sympow, sympow.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
