@@ -4,7 +4,9 @@ Symbolic powers can be computed three independent ways that must agree:
 
 * ``symbolic_power_squarefree`` -- squarefree input only: fold
   `_meet_prime_power`, the exact meet with the n-th power of a variable
-  prime, over the minimal primes;
+  prime, over the minimal primes in `_local_order`, which keeps the
+  intermediate ideals small; the meet is commutative and the result
+  sorted, so the order leaves the result as it is;
 * ``symbolic_power_from_decomposition`` -- intersect the n-th powers of
   caller-supplied components by the shared kernel `rings._packed_meet`;
 * ``symbolic_power_saturation`` -- saturate I**n at the product of the
@@ -88,6 +90,15 @@ def _require_proper_nonzero(I: MonomialIdeal):
         raise ValueError("the unit ideal has no decomposition")
 
 
+def _require_squarefree(I: MonomialIdeal):
+    _require_proper_nonzero(I)
+    if not I.is_squarefree():
+        raise NotSquarefreeError(
+            "minimal primes need a squarefree ideal; pass radical() "
+            "or use the irreducible decomposition"
+        )
+
+
 def _ideal_order(J: MonomialIdeal):
     # the order of the folds and of a decomposition's components: generator
     # count, then the generators' (degree, exponents) keys
@@ -128,7 +139,8 @@ def _meet_prime_power(us, variables, n, L):
     first.
     """
     shifts, (dshift,), ((_, ones, dmask),) = L.shifts, L.dshifts, L.sums
-    pfields = sum(L.top << shifts[i] for i in variables)
+    bits = [1 << shifts[i] for i in variables]
+    pfields = L.top * sum(bits)
     parts, groups, powers, out = {}, {}, {}, []
     for u in us:
         parts.setdefault(u & pfields, []).append(u)
@@ -140,8 +152,7 @@ def _meet_prime_power(us, variables, n, L):
         cut = part + (d << dshift)
         rests = [u - cut for u in group]
         if d not in powers:
-            powers[d] = [sum(1 << shifts[i] for i in c) + (n << dshift)
-                         for c in combinations_with_replacement(variables, n - d)]
+            powers[d] = [s + (n << dshift) for s in map(sum, combinations_with_replacement(bits, n - d))]
         for p in powers[d]:
             groups.setdefault(part + p, []).extend(rests)
     for q, rests in groups.items():
@@ -158,12 +169,7 @@ def minimal_variable_primes(I: MonomialIdeal) -> list:
     (Miller-Sturmfels, Combinatorial Commutative Algebra, Ch. 1 and 5),
     folded from the unit ideal by `_meet_prime_power` at n = 1.
     """
-    _require_proper_nonzero(I)
-    if not I.is_squarefree():
-        raise NotSquarefreeError(
-            "minimal primes need a squarefree ideal; pass radical() "
-            "or use the irreducible decomposition"
-        )
+    _require_squarefree(I)
     L = _Layout(DEGREVLEX, I.ring.nvars, I.ring.nvars.bit_length() + 1)
     dual = [0]  # the unit ideal: the zero tuple's exponent form is 0
     for g in I.exps:
@@ -227,15 +233,39 @@ def associated_primes(I: MonomialIdeal) -> list:
     return sorted(primes, key=lambda p: (len(p.variables), p.variables))
 
 
+def _local_order(primes):
+    """The primes in the order the squarefree fold meets them: each next one
+    adds the fewest variables not yet met, a tie goes to the one that shares the
+    most variables with the one before, then to the earlier in the input."""
+    count, span = len(primes), primes[0].ring.nvars + 1
+    masks = {k: sum(1 << i for i in p.variables) for k, p in enumerate(primes)}
+    met, last, order = 0, 0, []
+    while masks:
+        free, best = ~met, span * span * count  # one int key: (new variables, -shared ones, input position)
+        for k, m in masks.items():
+            key = ((m & free).bit_count() * span - (m & last).bit_count()) * count + k
+            if key < best:
+                best = key
+        last = masks.pop(best % count)
+        met |= last
+        order.append(primes[best % count])
+    return order
+
+
 def symbolic_power_squarefree(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """The meet of the n-th powers of the minimal primes, folded from the
-    unit ideal by `_meet_prime_power`."""
+    unit ideal by `_meet_prime_power` in `_local_order`. The meet is
+    commutative and the result is sorted, so the order changes only the size
+    of the intermediate ideals; a squarefree ideal is radical, so n = 1 gives I."""
     if n < 1:
         raise ValueError("symbolic powers need n >= 1")
+    if n == 1:
+        _require_squarefree(I)
+        return I
     # every exponent stays at most n
     L = _Layout(DEGREVLEX, I.ring.nvars, (n * I.ring.nvars).bit_length() + 1)
     us = [0]
-    for p in minimal_variable_primes(I):
+    for p in _local_order(minimal_variable_primes(I)):
         us = _meet_prime_power(us, p.variables, n, L)
     return MonomialIdeal._from_minimal(I.ring, _ascending(us, L))
 

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import sympow
+from sympow import monomial_ideal_from_poly, parse_ideal_file
 from sympow.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -88,6 +93,25 @@ class TestSympowCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["degrees"] == {"max": 3, "beg": 3, "count": 10}
+
+    @pytest.mark.parametrize("nvars, edges", [(48, [(2 * i, 2 * i + 1) for i in range(24)]),
+                                              (60, [(i, i + 1) for i in range(59)])],
+                             ids=["matching-24", "path-60"])
+    def test_n1_needs_no_minimal_primes(self, tmp_path, nvars, edges):
+        # 2^24 and 20,330,163 minimal primes: a squarefree ideal is radical, so
+        # its first symbolic power is itself, with no fold
+        text = (f"ring: {' '.join(f'x{i}' for i in range(nvars))}\n"
+                f"ideal I: {', '.join(f'x{i}*x{j}' for i, j in edges)}\n")
+        path = tmp_path / "graph.ideal"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(sympow.__file__).parent.parent),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "sympow", "sympow", "--file", str(path), "--ideal", "I",
+                              "--n", "1", "--format", "json"], env=env, capture_output=True, text=True, timeout=10)
+        assert out.returncode == EXIT_OK
+        ideal = monomial_ideal_from_poly(parse_ideal_file(text).ideal("I"))
+        assert json.loads(out.stdout)["generators"] == [str(g) for g in ideal.generators]
+        assert len(ideal.exps) == len(edges)
 
     def test_text_format(self, ex31_path, capsys):
         code = main(["sympow", "--file", ex31_path, "--ideal", "I", "--n", "2"])
